@@ -24,7 +24,7 @@ _TWO_PI = 2.0 * math.pi
 
 def ensure_finite(z: complex, what: str = "value") -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise InvalidInputError(f"{what} must be finite, got {z!r}")
     return z
 
@@ -64,18 +64,33 @@ def quadratic_roots(
     return order_by_modulus(big, small, eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix2C:
-    """2x2 complex matrix [[a, b], [c, d]]."""
+    """2x2 complex matrix [[a, b], [c, d]] with finite entries."""
 
     a: complex
     b: complex
     c: complex
     d: complex
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, ensure_finite(getattr(self, name), name))
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
+        # Every matrix, products included, is checked here: finite entries
+        # can multiply to inf.  All four entries are converted and tested in
+        # one pass; only an invalid matrix takes the per-entry loop, which
+        # raises the error for the first bad entry in a, b, c, d order.
+        try:
+            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d):
+                object.__setattr__(self, "a", a)
+                object.__setattr__(self, "b", b)
+                object.__setattr__(self, "c", c)
+                object.__setattr__(self, "d", d)
+                return
+        for name, value in zip("abcd", (a, b, c, d)):
+            object.__setattr__(self, name, ensure_finite(value, name))
 
     @staticmethod
     def identity() -> "Matrix2C":

@@ -18,6 +18,7 @@ from teichkit import (
     order_by_modulus,
     quadratic_roots,
 )
+from teichkit.algebra import ensure_finite
 from oracles import random_conjugator, random_unimodular
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -120,6 +121,36 @@ class TestMatrix2C:
     def test_rejects_non_finite_entry(self):
         with pytest.raises(InvalidInputError):
             Matrix2C(float("inf"), 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (float("inf"), "x", 0, 0),
+            ("x", float("inf"), 0, 0),
+            (0, float("nan"), "y", None),
+            (0, 0, 0, complex(1, float("inf"))),
+            (10**400, 0, 0, 0),
+            (0, 10**400, float("inf"), 0),
+            (None, 0, 0, 0),
+            (1, 2, 3, [4]),
+        ],
+    )
+    def test_first_bad_entry_is_reported(self, entries):
+        # reference: each entry checked in a, b, c, d order
+        def per_entry():
+            for name, value in zip("abcd", entries):
+                ensure_finite(value, name)
+
+        with pytest.raises(Exception) as want:
+            per_entry()
+        with pytest.raises(type(want.value)) as got:
+            Matrix2C(*entries)
+        assert str(got.value) == str(want.value)
+
+    def test_overflowing_product_is_rejected(self):
+        big = Matrix2C(1e200, 0.0, 0.0, 1.0)
+        with pytest.raises(InvalidInputError, match="a must be finite"):
+            big @ big
 
     def test_max_norm_and_close_to(self):
         m = Matrix2C(1.0, -3.0, 0.5, 0.0)

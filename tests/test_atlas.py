@@ -1,5 +1,6 @@
 """Twisted group, atlas actions, and the randomized groupoid checker."""
 
+import cmath
 import random
 
 import pytest
@@ -26,8 +27,10 @@ from teichkit import (
     trivial_structure,
     z_action,
 )
+from teichkit import atlas
 
 DIAG21 = Matrix2C.diag(2.0, 1.0)
+SHEAR = GroupElement(Matrix2C(1.0, 1.0, 0.0, 1.0), 1.0)
 M_SAMPLE = AtlasPoint(Matrix2C.diag(0.5, 0.25), 1 + 2j)
 
 
@@ -40,6 +43,28 @@ def random_group_element(rng: random.Random) -> GroupElement:
         a = Matrix2C(*(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(4)))
         if abs(a.det) >= 0.2:
             return GroupElement(a, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+
+
+def near_unit_group_element(rng: random.Random) -> GroupElement:
+    """A well-conditioned element whose eigenvalue moduli lie in [0.9, 1.1],
+    so its powers up to |p| = 40 stay far from overflow and singularity."""
+    lam1 = cmath.rect(rng.uniform(0.9, 1.1), rng.uniform(0.0, 2.0 * cmath.pi))
+    lam2 = cmath.rect(rng.uniform(0.9, 1.1), rng.uniform(0.0, 2.0 * cmath.pi))
+    while True:
+        basis = Matrix2C(*(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)))
+        if abs(basis.det) >= 0.4:
+            break
+    a = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
+    return GroupElement(a, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+
+
+def fold_power(x: GroupElement, p: int) -> GroupElement:
+    """Reference x**p: |p| multiplications folded from the left."""
+    base = x if p >= 0 else g_inverse(x)
+    acc = g_identity()
+    for _ in range(abs(p)):
+        acc = g_mul(acc, base)
+    return acc
 
 
 class TestGroupElements:
@@ -75,6 +100,33 @@ class TestGroupElements:
         assert g_close(g_power(x, -2), g_inverse(g_mul(x, x)), tol=1e-9)
         with pytest.raises(InvalidInputError):
             g_power(x, 1.5)
+
+    @pytest.mark.parametrize("p", [0, 1, -1, 2, -2, 3, -3, 255, -255, 256, -256, 257, -257, 10**6, 2**40])
+    def test_power_shear_oracle(self, p):
+        # (S, 1)**p = ([[1, p], [0, 1]], p) exactly, since det S = 1
+        got = g_power(SHEAR, p)
+        assert got.a.entries() == (1, p, 0, 1)
+        assert got.t == p
+
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(-40, 40))
+    @settings(max_examples=150)
+    def test_power_matches_left_fold(self, seed, p):
+        x = near_unit_group_element(random.Random(seed))
+        want = fold_power(x, p)
+        scale = max(1.0, want.a.max_norm(), abs(want.t))
+        assert g_close(g_power(x, p), want, tol=1e-6 * scale)
+
+    @pytest.mark.parametrize("p", [0, 1, -1, 3, -7, 256, -257, 10**6, 2**40, 2**1000 - 1])
+    def test_power_takes_logarithmic_steps(self, monkeypatch, p):
+        calls = []
+
+        def counting_mul(x, y):
+            calls.append(None)
+            return g_mul(x, y)
+
+        monkeypatch.setattr(atlas, "g_mul", counting_mul)
+        g_power(GroupElement(Matrix2C.identity(), 1.0), p)
+        assert len(calls) <= 2 * p.bit_length() + 1
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200)
@@ -197,6 +249,44 @@ class TestGroupoidCheck:
         by_name = {law.name: law for law in report.laws}
         assert by_name["action-composition"].failures == 20
         assert "boom" in by_name["action-composition"].counterexample["detail"]
+
+    def test_one_twist_per_sample(self):
+        calls = []
+
+        def injection(m):
+            calls.append(m)
+            return GroupElement(Matrix2C(1.0, 1.0, 0.0, 1.0), 0j)
+
+        report = groupoid_check(AtlasStructure("counted", lambda m, g: m, injection), samples=25, seed=4)
+        assert len(calls) == 25
+        assert report.passed
+
+    def test_raising_twist_fails_both_twist_laws_alike(self):
+        def injection(m):
+            raise SingularMatrixError("boom")
+
+        report = groupoid_check(AtlasStructure("raising", lambda m, g: m, injection), samples=20, seed=0)
+        by_name = {law.name: law for law in report.laws}
+        src, tgt = by_name["z-action-source-invariance"], by_name["z-action-target-invariance"]
+        assert src.failures == tgt.failures == 20
+        assert src.counterexample == tgt.counterexample
+        assert src.counterexample["detail"] == "twist raised singular_matrix: boom"
+        assert by_name["action-composition"].failures == 0
+
+    def test_overflowing_difference_is_not_close_not_raised(self):
+        # consecutive action images differ by 2e308 in one entry, which
+        # overflows to inf; that is a changed target, not a raising twist
+        sign = [1.0]
+
+        def act(m, g):
+            sign[0] = -sign[0]
+            return AtlasPoint(Matrix2C(0.5, sign[0] * 1e308, 0.0, 0.25), m.t)
+
+        report = groupoid_check(AtlasStructure("overflowing", act, lambda m: g_identity()), samples=1, seed=0)
+        by_name = {law.name: law for law in report.laws}
+        target_law = by_name["z-action-target-invariance"]
+        assert target_law.failures == 1
+        assert target_law.counterexample["detail"] == "target changed under twist"
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

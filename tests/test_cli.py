@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -187,6 +188,20 @@ class TestErrorChannels:
         # parses as JSON but has the wrong shape for a matrix
         code, _, err = run(["hopf", "classify", "--matrix", "[1,2,3]"])
         assert code == 2
+
+    def test_huge_twist_power_is_bounded(self):
+        g = '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[1,0]}'
+        m = '{"a":[[[0.5,0],[0,0]],[[0,0],[0.25,0]]],"t":[0,1]}'
+        argv = ["atlas", "zaction", "--p", "100000000", "--g", g, "--m", m]
+        start = time.perf_counter()
+        doc = run_json(argv)
+        assert time.perf_counter() - start < 1.0
+        assert doc["g"] == json.loads(g)
+
+        code, out, err = run([*argv, "--structure", "broken"])
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestEpsControls:
