@@ -6,12 +6,19 @@ on stderr; 2 usage error (unknown verbs, malformed or mis-shaped JSON,
 bad flag values).  The tolerance used by approximate comparisons can be
 overridden per invocation with --eps or the TEICHKIT_EPS environment
 variable (the flag wins).
+
+The argparse parser is built once per process, on the first dispatch, and
+reused: parse_args keeps no state between calls and returns a fresh
+namespace each time.  Everything that can differ between calls is still
+read per call: --eps and TEICHKIT_EPS, the terminal width used for help
+text, and the stdout/stderr redirection.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -393,6 +400,7 @@ def _run_fixtures_run(a):
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(

@@ -39,5 +39,12 @@ class SamePointError(TeichkitError):
     code = "same_point"
 
 
+class LimitExceededError(TeichkitError):
+    """The input is valid but answering it needs more work than a documented
+    limit allows (a continued-fraction period, an orbit size)."""
+
+    code = "limit_exceeded"
+
+
 class InvalidPointError(InvalidInputError):
     code = "invalid_point"

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import ensure_finite
-from .errors import InvalidInputError, NotOnCircleError
+from .errors import InvalidInputError, LimitExceededError, NotOnCircleError
 from .surd import QuadraticIrrational, continued_fraction_expansion, periodic_state_keys
 from .tolerance import resolve
 
 Slope = Fraction | QuadraticIrrational
+
+MAX_ORBIT_POINTS = 10**6  # largest max_points rotation_orbit accepts
 
 
 def _require_slope(alpha: Slope, what: str) -> Slope:
@@ -140,11 +142,14 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int, eps: float | None
     For a rational slope p/q in lowest terms the orbit is the full cyclic
     group orbit of q points (truncated at max_points); for a quadratic
     irrational the orbit never closes and exactly max_points iterates are
-    returned.
+    returned.  A max_points above MAX_ORBIT_POINTS raises LimitExceededError;
+    a slope too large to convert to a float raises InvalidInputError.
     """
     _require_slope(alpha, "alpha")
     if not isinstance(max_points, int) or isinstance(max_points, bool) or max_points < 1:
         raise InvalidInputError(f"max_points must be a positive integer, got {max_points!r}")
+    if max_points > MAX_ORBIT_POINTS:
+        raise LimitExceededError(f"max_points must be at most {MAX_ORBIT_POINTS}, got {max_points}")
     z0 = ensure_finite(complex(z0), "z0")
     if abs(abs(z0) - 1.0) > resolve(eps):
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
@@ -152,7 +157,10 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int, eps: float | None
         count = min(alpha.denominator, max_points)
     else:
         count = max_points
-    step = cmath.exp(2j * math.pi * float(alpha))
+    try:
+        step = cmath.exp(2j * math.pi * float(alpha))
+    except (OverflowError, ValueError):  # float(alpha) or 2*pi*alpha overflows
+        raise InvalidInputError("alpha is too large to rotate by in floating point") from None
     points = [z0]
     z = z0
     for _ in range(count - 1):
@@ -167,7 +175,8 @@ def cf_expand(alpha: Slope) -> ContinuedFraction:
     Rationals expand by the Euclidean algorithm (floor convention, so the
     last quotient is >= 2 whenever the expansion has more than one term).
     Quadratic irrationals expand by exact surd iteration; the period is the
-    minimal cycle of complete quotients.
+    minimal cycle of complete quotients.  LimitExceededError is raised when
+    no complete quotient repeats within the first 100000 partial quotients.
     """
     _require_slope(alpha, "alpha")
     if isinstance(alpha, Fraction):
@@ -195,7 +204,8 @@ def morita_equivalent(alpha: Slope, beta: Slope) -> bool:
     quadratic irrationals are equivalent exactly when some integer Moebius
     map of determinant +-1 carries one to the other; by Serret's theorem
     that is a shared continued-fraction tail, detected here as a common
-    exact complete quotient in the two periodic cycles.
+    exact complete quotient in the two periodic cycles.  Each expansion is
+    subject to the same limit as cf_expand.
     """
     _require_slope(alpha, "alpha")
     _require_slope(beta, "beta")

@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 
 from .algebra import IntMatrix2
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import InvalidInputError, LimitExceededError, SingularMatrixError
 
+# Most partial quotients expanded while looking for the period.  The period
+# of sqrt(d) can be O(sqrt(d) log d) terms long, so a valid large d can
+# exceed it.
 _MAX_CF_STEPS = 100_000
 
 
@@ -90,7 +93,9 @@ def _expansion_states(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int
     states: list[tuple[int, int]] = []
     while (p, q) not in seen:
         if len(quotients) > _MAX_CF_STEPS:
-            raise RuntimeError("continued fraction did not cycle (invariant broken)")
+            raise LimitExceededError(
+                f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients"
+            )
         seen[(p, q)] = len(quotients)
         states.append((p, q))
         a = _surd_floor(p, q, d)

@@ -2,14 +2,20 @@
 
 import io
 import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 
-from teichkit import default_eps, run_fixtures
+from teichkit import cli, default_eps, run_fixtures
 from teichkit.cli import dispatch, main
 from teichkit.fixtures import json_close
+from teichkit.foliation import MAX_ORBIT_POINTS
 from teichkit.jsonio import SchemaError, canonical_dumps, format_float, loads_strict
+
+
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run(argv):
@@ -203,6 +209,27 @@ class TestErrorChannels:
         assert "Traceback" not in err
         assert set(json.loads(err)) == {"error", "message"}
 
+    def assert_json_error(self, argv, error):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert set(doc) == {"error", "message"} and doc["error"] == error
+
+    def test_long_cf_period_is_limit_exceeded(self):
+        # the period of sqrt(d) for this prime d is longer than the expansion limit
+        self.assert_json_error(["fol", "cf", "--alpha", '{"p":0,"q":1,"d":1000000000000037}'], "limit_exceeded")
+
+    def test_orbit_of_huge_slope_is_invalid_input(self):
+        # float(alpha) overflows for the first two; 2*pi*alpha does for the third
+        orbit = ["fol", "orbit", "--z0", "1", "0", "--max-points", "3", "--alpha"]
+        for alpha in (f'{{"p":{10**400},"q":3,"d":2}}', f"{10**400}/3", f"{10**308}/1"):
+            self.assert_json_error([*orbit, alpha], "invalid_input")
+
+    def test_orbit_size_is_capped(self):
+        argv = ["fol", "orbit", "--z0", "1", "0", "--alpha", "1/3", "--max-points"]
+        self.assert_json_error([*argv, str(MAX_ORBIT_POINTS + 1)], "limit_exceeded")
+        assert len(run_json([*argv, str(MAX_ORBIT_POINTS)])["points"]) == 3
+
 
 class TestEpsControls:
     ARGS = ["teich", "in-domain", "--d", "0.01", "0", "--t", "0.2", "0"]
@@ -242,6 +269,55 @@ class TestEpsControls:
         before = default_eps()
         run(["tori", "reduce", "--tau", "1", "-1", "--eps", "0.2"])
         assert default_eps() == before
+
+    def test_env_is_read_on_every_dispatch(self, monkeypatch):
+        monkeypatch.setenv("TEICHKIT_EPS", "1e-9")
+        assert run_json(self.ARGS) == {"in_domain": True}
+        monkeypatch.setenv("TEICHKIT_EPS", "0.2")
+        assert run_json(self.ARGS) == {"in_domain": False}
+
+
+class TestParserReuse:
+    """The parser is built once per process; no dispatch may see an earlier one."""
+
+    RESONANCE = ["hopf", "resonance", "--big", "0.5", "0", "--small", "0.2505", "0"]
+    # each unit runs as one block, so --eps is always followed by a run without it
+    EXTRA_UNITS = [
+        [[]],
+        [["hopf"]],
+        [["nope"]],
+        [["alg", "det"]],
+        [["hopf", "classify", "--matrix", "[[[0.5,0],[0,0]],[[0,0],[0.25,0]]]", "--resonant", "0.5", "0", "2"]],
+        [["--help"]],
+        [[*RESONANCE, "--eps", "1e-3"], RESONANCE],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_help_follows_terminal_width(self, monkeypatch):
+        argv = ["hopf", "classify", "--help"]
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = run(argv)[1]
+        monkeypatch.setenv("COLUMNS", "200")
+        assert run(argv)[1] != narrow
+
+    def test_replay_is_independent_of_dispatch_order(self):
+        commands = [json.loads(path.read_text())["command"] for path in sorted(FIXTURES_DIR.glob("*.json"))]
+        units = [[[str(part) for part in command]] for command in commands] + self.EXTRA_UNITS
+        first = [[run(argv) for argv in unit] for unit in units]
+
+        extra = first[len(commands):]
+        assert [outcome[0][0] for outcome in extra[:5]] == [2] * 5
+        code, out, err = extra[5][0]
+        assert code == 0 and out.startswith("usage: teichkit") and err == ""
+        assert [outcome[1] for outcome in extra[6]] == ['{"p":2}\n', '{"p":null}\n']
+
+        for seed in (1, 2):
+            order = list(range(len(units)))
+            random.Random(seed).shuffle(order)
+            for i in order:
+                assert [run(argv) for argv in units[i]] == first[i], units[i]
 
 
 class TestMain:
