@@ -2,6 +2,8 @@
 torus foliations, and the atlas group of the Teichmueller stack of S3 x S1.
 """
 
+import types as _types
+
 from .algebra import (
     IntMatrix2,
     Matrix2C,
@@ -107,95 +109,7 @@ from .tori import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtlasPoint",
-    "AtlasStructure",
-    "BasePoint",
-    "CheckReport",
-    "Circle",
-    "ClosedLeaf",
-    "ContinuedFraction",
-    "ContractionInput",
-    "CurvePoint",
-    "DEFAULT_EPS",
-    "DenseLine",
-    "Diagonal",
-    "GroupElement",
-    "HopfClass",
-    "IntMatrix2",
-    "InvalidInputError",
-    "InvalidPointError",
-    "LawResult",
-    "LeafDescriptor",
-    "LeafSpace",
-    "LimitExceededError",
-    "Matrix2C",
-    "MismatchedFiberError",
-    "NonHausdorffQuotient",
-    "NotContractingError",
-    "NotOnCircleError",
-    "NotUnimodularError",
-    "QuadraticIrrational",
-    "RESONANCE_MAX_ORDER",
-    "Resonant",
-    "ResonantForm",
-    "S",
-    "SamePointError",
-    "SchemaError",
-    "SingularMatrixError",
-    "Slope",
-    "T",
-    "TeichPoint",
-    "TeichkitError",
-    "TorusTranslation",
-    "adheres",
-    "arg_unit_interval",
-    "biholomorphic",
-    "broken_structure",
-    "canonical_dumps",
-    "cf_expand",
-    "class_equal",
-    "class_of_point",
-    "classify",
-    "continued_fraction_expansion",
-    "default_eps",
-    "det_trace",
-    "eigen2",
-    "g_identity",
-    "g_inverse",
-    "g_mul",
-    "g_power",
-    "groupoid_check",
-    "image",
-    "in_base_domain",
-    "is_contracting",
-    "json_close",
-    "lattice_reduce",
-    "leaf_descriptor",
-    "leaf_space",
-    "moebius",
-    "moebius_surd",
-    "morita_equivalent",
-    "neighborhood_contains",
-    "order_by_modulus",
-    "periodic_state_keys",
-    "point_of_class",
-    "points_equal",
-    "quadratic_roots",
-    "reduce_fundamental_domain",
-    "resonance_order",
-    "rotation_orbit",
-    "run_fixtures",
-    "separated",
-    "set_default_eps",
-    "source",
-    "structure_by_name",
-    "target",
-    "tori_equivalent",
-    "translation_compose",
-    "translation_matrix",
-    "trivial_structure",
-    "twin",
-    "z_action",
-    "zero_translation",
-]
+# every public name bound above, except the submodules the imports bind
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -23,9 +23,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import Matrix2C, ensure_finite
-from .errors import InvalidInputError, NotContractingError, SingularMatrixError, TeichkitError
+from .errors import (
+    InvalidInputError,
+    LimitExceededError,
+    NotContractingError,
+    SingularMatrixError,
+    TeichkitError,
+)
 from .hopf import is_contracting
 from .tolerance import resolve
+
+MAX_CHECK_SAMPLES = 100_000  # largest sample count groupoid_check accepts
 
 
 @dataclass(frozen=True)
@@ -227,10 +235,13 @@ def groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0, tol: 
     under the integer twist (well-definedness of the quotient maps); and
     closure of the action in the contracting locus.  Law violations,
     including exceptions raised by the supplied functions, are counted and
-    reported with the first counterexample; they are never raised.
+    reported with the first counterexample; they are never raised.  A
+    sample count above MAX_CHECK_SAMPLES raises LimitExceededError.
     """
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    if samples > MAX_CHECK_SAMPLES:
+        raise LimitExceededError(f"samples must be at most {MAX_CHECK_SAMPLES}, got {samples}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
     tol = float(tol)

@@ -1,11 +1,21 @@
 """Command-line entry point.
 
-One binary, noun-verb subcommands, one JSON document per invocation on
+One binary, group-verb subcommands, one JSON document per invocation on
 stdout.  Exit codes: 0 success; 1 domain error, with {"error", "message"}
 on stderr; 2 usage error (unknown verbs, malformed or mis-shaped JSON,
-bad flag values).  The tolerance used by approximate comparisons can be
-overridden per invocation with --eps or the TEICHKIT_EPS environment
-variable (the flag wins).
+bad flag values).  A result that cannot be written as JSON (a float that
+overflowed to inf or nan, an integer too long to print) is the domain error
+invalid_input, and nothing is printed on stdout.  The tolerance used by
+approximate comparisons can be overridden per invocation with --eps or the
+TEICHKIT_EPS environment variable (the flag wins).
+
+Every verb is one row of VERBS: its group, name, help text, typed flags and
+the library call with its encoder.  The parser and dispatch both read only
+that table.  A flag's kind (KINDS) says how argparse reads it and how
+dispatch decodes the raw value.  Decoding runs inside dispatch, after the
+tolerance is in force, so that schema and domain errors keep their exit
+codes; library and jsonio functions are looked up when called, never
+captured when the table is built.
 
 The argparse parser is built once per process, on the first dispatch, and
 reused: parse_args keeps no state between calls and returns a fresh
@@ -23,14 +33,14 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from . import algebra, atlas, foliation, hopf, teich, tori
-from .errors import TeichkitError
+from .errors import InvalidInputError, TeichkitError
 from .jsonio import (
     SchemaError,
     canonical_dumps,
     dec_atlas_point,
-    dec_complex,
     dec_contraction,
     dec_group_element,
     dec_hopf_class,
@@ -67,8 +77,8 @@ def dispatch(argv, out=None, err=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
 
-    handler = getattr(args, "handler", None)
-    if handler is None:
+    verb = getattr(args, "command", None)
+    if verb is None:
         parser.print_usage(err)
         return 2
 
@@ -82,7 +92,13 @@ def dispatch(argv, out=None, err=None) -> int:
     try:
         if eps is not None:
             set_default_eps(eps)
-        result = handler(args)
+        values = [flag.decode(getattr(args, flag.dest)) for flag in verb.flags]
+        result = verb.run(*values)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        try:
+            text = canonical_dumps(payload)
+        except ValueError as exc:  # a result that overflowed, or an integer too long to print
+            raise InvalidInputError(f"result cannot be written as JSON: {exc}") from None
     except SchemaError as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -92,8 +108,7 @@ def dispatch(argv, out=None, err=None) -> int:
     finally:
         set_default_eps(previous)
 
-    payload, code = result if isinstance(result, tuple) else (result, 0)
-    print(canonical_dumps(payload), file=out)
+    print(text, file=out)
     return code
 
 
@@ -112,249 +127,149 @@ def _resolve_eps(args) -> float | None:
     return value
 
 
-def _pair(values) -> complex:
-    return complex(values[0], values[1])
+# ------------------------------------------------------------ argument kinds
 
 
-def _slope(text: str, what: str) -> foliation.Slope:
-    stripped = text.strip()
+class Kind(NamedTuple):
+    """How argparse reads one kind of flag, and how dispatch decodes it.
+
+    `decode(raw, label)` gets the parsed value and the flag's name, which
+    labels its error messages.
+    """
+
+    parse: dict
+    decode: Callable[[Any, str], Any] = lambda raw, label: raw
+
+
+def _int_matrix(raw, label):
+    # a lone --matrix keeps the decoder's own label, "integer matrix"
+    return dec_int_matrix(loads_strict(raw, label), "integer matrix" if label == "matrix" else label)
+
+
+def _slope(raw, label) -> foliation.Slope:
+    stripped = raw.strip()
     if stripped.startswith("{"):
-        return dec_surd(loads_strict(stripped, what), what)
+        return dec_surd(loads_strict(stripped, label), label)
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f'{what} must be "num/den" or a {{"p","q","d"}} object: {exc}') from exc
+        raise SchemaError(f'{label} must be "num/den" or a {{"p","q","d"}} object: {exc}') from exc
 
 
-# ---------------------------------------------------------------- handlers
-
-
-def _run_alg_quadratic_roots(a):
-    r1, r2 = algebra.quadratic_roots(_pair(a.d), _pair(a.t))
-    return {"roots": [enc_complex(r1), enc_complex(r2)]}
-
-
-def _run_alg_eigen(a):
-    l1, l2, diagonalizable = algebra.eigen2(dec_matrix2c(loads_strict(a.matrix, "matrix")))
-    return {"eigenvalues": [enc_complex(l1), enc_complex(l2)], "diagonalizable": diagonalizable}
-
-
-def _run_alg_mul(a):
-    x = dec_matrix2c(loads_strict(a.a, "a"), "a")
-    y = dec_matrix2c(loads_strict(a.b, "b"), "b")
-    return {"product": enc_matrix2c(x @ y)}
-
-
-def _run_alg_inv(a):
-    return {"inverse": enc_matrix2c(dec_matrix2c(loads_strict(a.matrix, "matrix")).inverse())}
-
-
-def _run_alg_det(a):
-    return {"det": enc_complex(dec_matrix2c(loads_strict(a.matrix, "matrix")).det)}
-
-
-def _run_alg_trace(a):
-    return {"trace": enc_complex(dec_matrix2c(loads_strict(a.matrix, "matrix")).trace)}
-
-
-def _run_alg_imul(a):
-    x = dec_int_matrix(loads_strict(a.a, "a"), "a")
-    y = dec_int_matrix(loads_strict(a.b, "b"), "b")
-    return {"product": enc_int_matrix(x @ y)}
-
-
-def _run_alg_iinv(a):
-    return {"inverse": enc_int_matrix(dec_int_matrix(loads_strict(a.matrix, "matrix")).inverse())}
-
-
-def _run_alg_idet(a):
-    return {"det": dec_int_matrix(loads_strict(a.matrix, "matrix")).det()}
-
-
-def _run_alg_itrace(a):
-    return {"trace": dec_int_matrix(loads_strict(a.matrix, "matrix")).trace()}
-
-
-def _run_tori_moebius(a):
-    m = dec_int_matrix(loads_strict(a.matrix, "matrix"))
-    return {"tau": enc_complex(tori.moebius(m, _pair(a.tau)))}
-
-
-def _run_tori_reduce(a):
-    reduced, witness = tori.reduce_fundamental_domain(_pair(a.tau))
-    return {"reduced": enc_complex(reduced), "witness": enc_int_matrix(witness)}
-
-
-def _run_tori_equiv(a):
-    witness = tori.tori_equivalent(_pair(a.tau1), _pair(a.tau2))
-    return {
-        "equivalent": witness is not None,
-        "witness": None if witness is None else enc_int_matrix(witness),
-    }
-
-
-def _run_tori_lattice_reduce(a):
-    x, y = tori.lattice_reduce(_pair(a.z), _pair(a.tau))
-    return {"x": x, "y": y}
-
-
-def _run_tori_compose(a):
-    tau = _pair(a.tau)
-    t1 = tori.TorusTranslation.from_z(tau, _pair(a.z1))
-    t2 = tori.TorusTranslation.from_z(tau, _pair(a.z2))
-    composed = tori.translation_compose(t1, t2)
-    return {"x": composed.x, "y": composed.y, "z": enc_complex(composed.z)}
-
-
-def _run_hopf_contracting(a):
-    return {"contracting": hopf.is_contracting(dec_matrix2c(loads_strict(a.matrix, "matrix")))}
-
-
-def _run_hopf_resonance(a):
-    return {"p": hopf.resonance_order(_pair(a.big), _pair(a.small))}
-
-
-def _contraction_from_args(a):
-    if a.matrix is not None:
-        return dec_matrix2c(loads_strict(a.matrix, "matrix"))
-    values = a.resonant
+def _resonant(values, label) -> hopf.ResonantForm:
     if len(values) not in (3, 5):
         raise SchemaError("--resonant takes LAMBDA_RE LAMBDA_IM P with optional C_RE C_IM")
     p = values[2]
-    if p != int(p):
+    if not p.is_integer():
         raise SchemaError(f"resonance order must be an integer, got {p!r}")
     c = complex(values[3], values[4]) if len(values) == 5 else 1.0 + 0j
     return hopf.ResonantForm(complex(values[0], values[1]), int(p), c)
 
 
-def _run_hopf_classify(a):
-    data = _contraction_from_args(a)
-    cls = hopf.classify(data)
-    if isinstance(data, algebra.Matrix2C):
-        d, t = hopf.det_trace(data)
-    else:
-        d, t = teich.image(teich.point_of_class(cls))
-    payload = enc_hopf_class(cls)
-    payload["det_trace"] = [enc_complex(d), enc_complex(t)]
-    return payload
+KINDS = {
+    "pair": Kind({"nargs": 2, "type": float, "metavar": ("RE", "IM")}, lambda v, label: complex(v[0], v[1])),
+    "matrix": Kind({}, lambda raw, label: dec_matrix2c(loads_strict(raw, label), label)),
+    "int_matrix": Kind({}, _int_matrix),
+    "teich_point": Kind({}, lambda raw, label: dec_teich_point(loads_strict(raw, label), label)),
+    "hopf_class": Kind({}, lambda raw, label: dec_hopf_class(loads_strict(raw, label), label)),
+    "contraction": Kind({}, lambda raw, label: dec_contraction(loads_strict(raw, label), label)),
+    "resonant": Kind({"nargs": "+", "type": float, "metavar": "V"}, _resonant),
+    "group_element": Kind({}, lambda raw, label: dec_group_element(loads_strict(raw, label), label)),
+    "atlas_point": Kind({}, lambda raw, label: dec_atlas_point(loads_strict(raw, label), label)),
+    "slope": Kind({}, _slope),
+    "structure": Kind(
+        {"choices": ("trivial", "broken"), "default": "trivial"},
+        lambda name, label: atlas.structure_by_name(name),
+    ),
+    "int": Kind({"type": int}),
+    "float": Kind({"type": float}),
+    "text": Kind({}),
+}
 
 
-def _run_hopf_det_trace(a):
-    d, t = hopf.det_trace(dec_matrix2c(loads_strict(a.matrix, "matrix")))
-    return {"det": enc_complex(d), "trace": enc_complex(t)}
+class Flag:
+    """One --name option of a verb: its kind plus add_argument keywords
+    (help, default, dest).  A flag without a default is required, unless it
+    is one of a one_of verb's flags; an absent one decodes to None."""
+
+    def __init__(self, name: str, kind: str, **options) -> None:
+        self.name = name
+        self.kind = KINDS[kind]
+        self.dest = options.get("dest", name.replace("-", "_"))
+        self.options = {**self.kind.parse, **options}
+
+    def decode(self, raw):
+        return None if raw is None else self.kind.decode(raw, self.name)
 
 
-def _run_hopf_biholo(a):
-    x = dec_contraction(loads_strict(a.a, "a"), "a")
-    y = dec_contraction(loads_strict(a.b, "b"), "b")
-    return {"biholomorphic": hopf.biholomorphic(x, y)}
+class Verb(NamedTuple):
+    """One row of the verb table: `teichkit GROUP NAME --flag ...`."""
+
+    group: str
+    name: str
+    help: str
+    flags: tuple[Flag, ...]
+    run: Callable  # decoded flag values, in order -> payload or (payload, exit code)
+    one_of: bool = False  # the flags form one required mutually exclusive group
 
 
-def _run_teich_in_domain(a):
-    return {"in_domain": teich.in_base_domain(_pair(a.d), _pair(a.t))}
+# ------------------------------------------------------------------ encoders
 
 
-def _run_teich_point(a):
-    cls = dec_hopf_class(loads_strict(a.hopf_class, "class"))
-    return {"point": enc_teich_point(teich.point_of_class(cls))}
+def _complexes(keys, values) -> dict:
+    return {key: enc_complex(value) for key, value in zip(keys, values)}
 
 
-def _run_teich_class(a):
-    x = dec_teich_point(loads_strict(a.point, "point"))
-    return enc_hopf_class(teich.class_of_point(x))
+def _eigen(l1, l2, diagonalizable) -> dict:
+    return {"eigenvalues": [enc_complex(l1), enc_complex(l2)], "diagonalizable": diagonalizable}
 
 
-def _run_teich_image(a):
-    d, t = teich.image(dec_teich_point(loads_strict(a.point, "point")))
-    return {"d": enc_complex(d), "t": enc_complex(t)}
+def _reduction(reduced, witness) -> dict:
+    return {"reduced": enc_complex(reduced), "witness": enc_int_matrix(witness)}
 
 
-def _run_teich_twin(a):
-    other = teich.twin(dec_teich_point(loads_strict(a.point, "point")))
+def _equivalence(witness) -> dict:
+    return {"equivalent": witness is not None, "witness": None if witness is None else enc_int_matrix(witness)}
+
+
+def _compose(tau, z1, z2) -> dict:
+    t1 = tori.TorusTranslation.from_z(tau, z1)
+    t2 = tori.TorusTranslation.from_z(tau, z2)
+    composed = tori.translation_compose(t1, t2)
+    return {"x": composed.x, "y": composed.y, "z": enc_complex(composed.z)}
+
+
+def _classify(matrix, resonant) -> dict:
+    cls = hopf.classify(resonant if matrix is None else matrix)
+    d, t = teich.image(teich.point_of_class(cls)) if matrix is None else hopf.det_trace(matrix)
+    return {**enc_hopf_class(cls), "det_trace": [enc_complex(d), enc_complex(t)]}
+
+
+def _twin(other) -> dict:
     return {"twin": None if other is None else enc_teich_point(other)}
 
 
-def _run_teich_separated(a):
-    x = dec_teich_point(loads_strict(a.x, "x"), "x")
-    y = dec_teich_point(loads_strict(a.y, "y"), "y")
-    return {"separated": teich.separated(x, y)}
-
-
-def _run_teich_adheres(a):
-    x = dec_teich_point(loads_strict(a.x, "x"), "x")
-    y = dec_teich_point(loads_strict(a.y, "y"), "y")
-    return {"adheres": teich.adheres(x, y)}
-
-
-def _run_teich_contains(a):
-    center = dec_teich_point(loads_strict(a.center, "center"), "center")
-    x = dec_teich_point(loads_strict(a.x, "x"), "x")
-    return {"contains": teich.neighborhood_contains(center, a.radius, x)}
-
-
-def _run_fol_leaf(a):
-    descriptor = foliation.leaf_descriptor(_slope(a.alpha, "alpha"))
+def _leaf(descriptor) -> dict:
     if isinstance(descriptor, foliation.ClosedLeaf):
         return {"kind": "closed", "vertical": descriptor.vertical, "horizontal": descriptor.horizontal}
     return {"kind": "dense_line"}
 
 
-def _run_fol_leafspace(a):
-    space = foliation.leaf_space(_slope(a.alpha, "alpha"))
+def _leaf_space(space) -> dict:
     if isinstance(space, foliation.Circle):
         return {"kind": "circle", "deck_order": space.deck_order}
     return {"kind": "non_hausdorff"}
 
 
-def _run_fol_cf(a):
-    cf = foliation.cf_expand(_slope(a.alpha, "alpha"))
+def _continued_fraction(cf) -> dict:
     return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
 
 
-def _run_fol_morita(a):
-    return {
-        "equivalent": foliation.morita_equivalent(
-            _slope(a.alpha, "alpha"), _slope(a.beta, "beta")
-        )
-    }
+def _arrow(g, m) -> dict:
+    return {"g": enc_group_element(g), "m": enc_atlas_point(m)}
 
 
-def _run_fol_orbit(a):
-    points = foliation.rotation_orbit(_pair(a.z0), _slope(a.alpha, "alpha"), a.max_points)
-    return {"points": [enc_complex(z) for z in points]}
-
-
-def _run_atlas_gmul(a):
-    x = dec_group_element(loads_strict(a.x, "x"), "x")
-    y = dec_group_element(loads_strict(a.y, "y"), "y")
-    return {"result": enc_group_element(atlas.g_mul(x, y))}
-
-
-def _run_atlas_ginv(a):
-    x = dec_group_element(loads_strict(a.x, "x"), "x")
-    return {"result": enc_group_element(atlas.g_inverse(x))}
-
-
-def _run_atlas_zaction(a):
-    g = dec_group_element(loads_strict(a.g, "g"), "g")
-    m = dec_atlas_point(loads_strict(a.m, "m"), "m")
-    twisted_g, twisted_m = atlas.z_action(a.p, g, m, atlas.structure_by_name(a.structure))
-    return {"g": enc_group_element(twisted_g), "m": enc_atlas_point(twisted_m)}
-
-
-def _run_atlas_source(a):
-    g = dec_group_element(loads_strict(a.g, "g"), "g")
-    m = dec_atlas_point(loads_strict(a.m, "m"), "m")
-    return {"point": enc_atlas_point(atlas.source(g, m))}
-
-
-def _run_atlas_target(a):
-    g = dec_group_element(loads_strict(a.g, "g"), "g")
-    m = dec_atlas_point(loads_strict(a.m, "m"), "m")
-    return {"point": enc_atlas_point(atlas.target(g, m, atlas.structure_by_name(a.structure)))}
-
-
-def _encode_counterexample(example: dict | None):
+def _counterexample(example: dict | None):
     if example is None:
         return None
     encoded = {}
@@ -370,8 +285,7 @@ def _encode_counterexample(example: dict | None):
     return encoded
 
 
-def _run_atlas_check(a):
-    report = atlas.groupoid_check(atlas.structure_by_name(a.structure), a.samples, a.seed)
+def _check_report(report) -> dict:
     return {
         "structure": report.structure,
         "samples": report.samples,
@@ -383,18 +297,129 @@ def _run_atlas_check(a):
                 "passed": law.passed,
                 "checked": law.checked,
                 "failures": law.failures,
-                "counterexample": _encode_counterexample(law.counterexample),
+                "counterexample": _counterexample(law.counterexample),
             }
             for law in report.laws
         ],
     }
 
 
-def _run_fixtures_run(a):
+def _fixture_summary(directory: str):
     from .fixtures import run_fixtures
 
-    summary = run_fixtures(a.dir)
+    summary = run_fixtures(directory)
     return summary, (0 if summary["failed"] == 0 else 1)
+
+
+# ---------------------------------------------------------------- the table
+
+GROUPS = {
+    "alg": "scalar and 2x2 matrix kernels",
+    "tori": "complex torus moduli",
+    "hopf": "Hopf surface classification",
+    "teich": "non-Hausdorff deformation space",
+    "fol": "linear torus foliations",
+    "atlas": "the twisted atlas group and its checker",
+    "fixtures": "fixture corpus runner",
+}
+
+VERBS = (
+    Verb("alg", "quadratic-roots", "roots of x^2 - t x + d", (Flag("d", "pair"), Flag("t", "pair")),
+         lambda d, t: {"roots": [enc_complex(r) for r in algebra.quadratic_roots(d, t)]}),
+    Verb("alg", "eigen", "eigenvalues and diagonalizability",
+         (Flag("matrix", "matrix", help="2x2 complex matrix JSON"),),
+         lambda m: _eigen(*algebra.eigen2(m))),
+    Verb("alg", "mul", "complex matrix product", (Flag("a", "matrix"), Flag("b", "matrix")),
+         lambda a, b: {"product": enc_matrix2c(a @ b)}),
+    Verb("alg", "inv", "complex matrix inverse", (Flag("matrix", "matrix"),),
+         lambda m: {"inverse": enc_matrix2c(m.inverse())}),
+    Verb("alg", "det", "complex matrix determinant", (Flag("matrix", "matrix"),),
+         lambda m: {"det": enc_complex(m.det)}),
+    Verb("alg", "trace", "complex matrix trace", (Flag("matrix", "matrix"),),
+         lambda m: {"trace": enc_complex(m.trace)}),
+    Verb("alg", "imul", "integer matrix product", (Flag("a", "int_matrix"), Flag("b", "int_matrix")),
+         lambda a, b: {"product": enc_int_matrix(a @ b)}),
+    Verb("alg", "iinv", "integer matrix inverse (det +-1)", (Flag("matrix", "int_matrix"),),
+         lambda m: {"inverse": enc_int_matrix(m.inverse())}),
+    Verb("alg", "idet", "integer matrix determinant", (Flag("matrix", "int_matrix"),),
+         lambda m: {"det": m.det()}),
+    Verb("alg", "itrace", "integer matrix trace", (Flag("matrix", "int_matrix"),),
+         lambda m: {"trace": m.trace()}),
+    Verb("tori", "moebius", "apply an SL2(Z) matrix to tau",
+         (Flag("matrix", "int_matrix", help="integer matrix JSON"), Flag("tau", "pair")),
+         lambda m, tau: {"tau": enc_complex(tori.moebius(m, tau))}),
+    Verb("tori", "reduce", "reduce tau into the fundamental domain", (Flag("tau", "pair"),),
+         lambda tau: _reduction(*tori.reduce_fundamental_domain(tau))),
+    Verb("tori", "equiv", "decide biholomorphism of two tori", (Flag("tau1", "pair"), Flag("tau2", "pair")),
+         lambda tau1, tau2: _equivalence(tori.tori_equivalent(tau1, tau2))),
+    Verb("tori", "lattice-reduce", "canonical lattice coordinates of z", (Flag("z", "pair"), Flag("tau", "pair")),
+         lambda z, tau: dict(zip(("x", "y"), tori.lattice_reduce(z, tau)))),
+    Verb("tori", "compose", "compose two translations of one fiber",
+         (Flag("tau", "pair"), Flag("z1", "pair"), Flag("z2", "pair")), _compose),
+    Verb("hopf", "contracting", "test the contracting condition", (Flag("matrix", "matrix"),),
+         lambda m: {"contracting": hopf.is_contracting(m)}),
+    Verb("hopf", "resonance", "resonance order of an eigenvalue pair", (Flag("big", "pair"), Flag("small", "pair")),
+         lambda big, small: {"p": hopf.resonance_order(big, small)}),
+    Verb("hopf", "classify", "biholomorphism class of a contraction",
+         (Flag("matrix", "matrix", help="2x2 complex matrix JSON"),
+          Flag("resonant", "resonant", help="LAMBDA_RE LAMBDA_IM P [C_RE C_IM]")),
+         _classify, one_of=True),
+    Verb("hopf", "det-trace", "(det, trace) image of a matrix", (Flag("matrix", "matrix"),),
+         lambda m: _complexes(("det", "trace"), hopf.det_trace(m))),
+    Verb("hopf", "biholo", "biholomorphism test for two contractions",
+         (Flag("a", "contraction", help="matrix JSON or resonant-form object"),
+          Flag("b", "contraction", help="matrix JSON or resonant-form object")),
+         lambda a, b: {"biholomorphic": hopf.biholomorphic(a, b)}),
+    Verb("teich", "in-domain", "membership in the base domain", (Flag("d", "pair"), Flag("t", "pair")),
+         lambda d, t: {"in_domain": teich.in_base_domain(d, t)}),
+    Verb("teich", "point", "deformation-space point of a class",
+         (Flag("class", "hopf_class", dest="hopf_class", help="class JSON"),),
+         lambda c: {"point": enc_teich_point(teich.point_of_class(c))}),
+    Verb("teich", "class", "class of a deformation-space point", (Flag("point", "teich_point", help="point JSON"),),
+         lambda x: enc_hopf_class(teich.class_of_point(x))),
+    Verb("teich", "image", "(det, trace) image of a point", (Flag("point", "teich_point"),),
+         lambda x: _complexes(("d", "t"), teich.image(x))),
+    Verb("teich", "twin", "the non-separated partner, if any", (Flag("point", "teich_point"),),
+         lambda x: _twin(teich.twin(x))),
+    Verb("teich", "separated", "Hausdorff separation of two points",
+         (Flag("x", "teich_point"), Flag("y", "teich_point")),
+         lambda x, y: {"separated": teich.separated(x, y)}),
+    Verb("teich", "adheres", "does every neighborhood of x contain y",
+         (Flag("x", "teich_point"), Flag("y", "teich_point")),
+         lambda x, y: {"adheres": teich.adheres(x, y)}),
+    Verb("teich", "contains", "basic-neighborhood membership",
+         (Flag("center", "teich_point"), Flag("radius", "float"), Flag("x", "teich_point")),
+         lambda center, radius, x: {"contains": teich.neighborhood_contains(center, radius, x)}),
+    Verb("fol", "leaf", "leaf type of a slope", (Flag("alpha", "slope", help='"num/den" or {"p","q","d"} JSON'),),
+         lambda alpha: _leaf(foliation.leaf_descriptor(alpha))),
+    Verb("fol", "leafspace", "leaf space of a slope", (Flag("alpha", "slope"),),
+         lambda alpha: _leaf_space(foliation.leaf_space(alpha))),
+    Verb("fol", "cf", "exact continued fraction of a slope", (Flag("alpha", "slope"),),
+         lambda alpha: _continued_fraction(foliation.cf_expand(alpha))),
+    Verb("fol", "morita", "Morita equivalence of rotation groupoids", (Flag("alpha", "slope"), Flag("beta", "slope")),
+         lambda alpha, beta: {"equivalent": foliation.morita_equivalent(alpha, beta)}),
+    Verb("fol", "orbit", "rotation orbit on the unit circle",
+         (Flag("z0", "pair"), Flag("alpha", "slope"), Flag("max-points", "int")),
+         lambda z0, alpha, n: {"points": [enc_complex(z) for z in foliation.rotation_orbit(z0, alpha, n)]}),
+    Verb("atlas", "gmul", "twisted product (A,t)*(B,s)",
+         (Flag("x", "group_element", help='{"a": matrix, "t": [re, im]} JSON'), Flag("y", "group_element")),
+         lambda x, y: {"result": enc_group_element(atlas.g_mul(x, y))}),
+    Verb("atlas", "ginv", "twisted-group inverse", (Flag("x", "group_element"),),
+         lambda x: {"result": enc_group_element(atlas.g_inverse(x))}),
+    Verb("atlas", "zaction", "integer twist (i(m)^p g, m)",
+         (Flag("p", "int"), Flag("g", "group_element"), Flag("m", "atlas_point"), Flag("structure", "structure")),
+         lambda p, g, m, structure: _arrow(*atlas.z_action(p, g, m, structure))),
+    Verb("atlas", "source", "source of the arrow (g, m)", (Flag("g", "group_element"), Flag("m", "atlas_point")),
+         lambda g, m: {"point": enc_atlas_point(atlas.source(g, m))}),
+    Verb("atlas", "target", "target of the arrow (g, m)",
+         (Flag("g", "group_element"), Flag("m", "atlas_point"), Flag("structure", "structure")),
+         lambda g, m, structure: {"point": enc_atlas_point(atlas.target(g, m, structure))}),
+    Verb("atlas", "check", "randomized groupoid-law verification",
+         (Flag("structure", "structure"), Flag("samples", "int", default=1000), Flag("seed", "int", default=0)),
+         lambda structure, samples, seed: _check_report(atlas.groupoid_check(structure, samples, seed))),
+    Verb("fixtures", "run", "run every fixture in a directory",
+         (Flag("dir", "text", help="directory of fixture JSON files"),), _fixture_summary),
+)
 
 
 # ------------------------------------------------------------------ parser
@@ -417,147 +442,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--eps", type=float, default=None, help="tolerance override")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    def leaf(sub, name: str, handler, help_text: str):
-        p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    alg = parser_group(groups, "alg", "scalar and 2x2 matrix kernels")
-    p = leaf(alg, "quadratic-roots", _run_alg_quadratic_roots, "roots of x^2 - t x + d")
-    p.add_argument("--d", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--t", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(alg, "eigen", _run_alg_eigen, "eigenvalues and diagonalizability")
-    p.add_argument("--matrix", required=True, help="2x2 complex matrix JSON")
-    p = leaf(alg, "mul", _run_alg_mul, "complex matrix product")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p = leaf(alg, "inv", _run_alg_inv, "complex matrix inverse")
-    p.add_argument("--matrix", required=True)
-    p = leaf(alg, "det", _run_alg_det, "complex matrix determinant")
-    p.add_argument("--matrix", required=True)
-    p = leaf(alg, "trace", _run_alg_trace, "complex matrix trace")
-    p.add_argument("--matrix", required=True)
-    p = leaf(alg, "imul", _run_alg_imul, "integer matrix product")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p = leaf(alg, "iinv", _run_alg_iinv, "integer matrix inverse (det +-1)")
-    p.add_argument("--matrix", required=True)
-    p = leaf(alg, "idet", _run_alg_idet, "integer matrix determinant")
-    p.add_argument("--matrix", required=True)
-    p = leaf(alg, "itrace", _run_alg_itrace, "integer matrix trace")
-    p.add_argument("--matrix", required=True)
-
-    tor = parser_group(groups, "tori", "complex torus moduli")
-    p = leaf(tor, "moebius", _run_tori_moebius, "apply an SL2(Z) matrix to tau")
-    p.add_argument("--matrix", required=True, help="integer matrix JSON")
-    p.add_argument("--tau", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(tor, "reduce", _run_tori_reduce, "reduce tau into the fundamental domain")
-    p.add_argument("--tau", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(tor, "equiv", _run_tori_equiv, "decide biholomorphism of two tori")
-    p.add_argument("--tau1", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--tau2", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(tor, "lattice-reduce", _run_tori_lattice_reduce, "canonical lattice coordinates of z")
-    p.add_argument("--z", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--tau", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(tor, "compose", _run_tori_compose, "compose two translations of one fiber")
-    p.add_argument("--tau", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--z1", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--z2", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-
-    hpf = parser_group(groups, "hopf", "Hopf surface classification")
-    p = leaf(hpf, "contracting", _run_hopf_contracting, "test the contracting condition")
-    p.add_argument("--matrix", required=True)
-    p = leaf(hpf, "resonance", _run_hopf_resonance, "resonance order of an eigenvalue pair")
-    p.add_argument("--big", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--small", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(hpf, "classify", _run_hopf_classify, "biholomorphism class of a contraction")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--matrix", help="2x2 complex matrix JSON")
-    src.add_argument(
-        "--resonant",
-        nargs="+",
-        type=float,
-        metavar="V",
-        help="LAMBDA_RE LAMBDA_IM P [C_RE C_IM]",
-    )
-    p = leaf(hpf, "det-trace", _run_hopf_det_trace, "(det, trace) image of a matrix")
-    p.add_argument("--matrix", required=True)
-    p = leaf(hpf, "biholo", _run_hopf_biholo, "biholomorphism test for two contractions")
-    p.add_argument("--a", required=True, help="matrix JSON or resonant-form object")
-    p.add_argument("--b", required=True, help="matrix JSON or resonant-form object")
-
-    tch = parser_group(groups, "teich", "non-Hausdorff deformation space")
-    p = leaf(tch, "in-domain", _run_teich_in_domain, "membership in the base domain")
-    p.add_argument("--d", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--t", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p = leaf(tch, "point", _run_teich_point, "deformation-space point of a class")
-    p.add_argument("--class", dest="hopf_class", required=True, help="class JSON")
-    p = leaf(tch, "class", _run_teich_class, "class of a deformation-space point")
-    p.add_argument("--point", required=True, help="point JSON")
-    p = leaf(tch, "image", _run_teich_image, "(det, trace) image of a point")
-    p.add_argument("--point", required=True)
-    p = leaf(tch, "twin", _run_teich_twin, "the non-separated partner, if any")
-    p.add_argument("--point", required=True)
-    p = leaf(tch, "separated", _run_teich_separated, "Hausdorff separation of two points")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = leaf(tch, "adheres", _run_teich_adheres, "does every neighborhood of x contain y")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = leaf(tch, "contains", _run_teich_contains, "basic-neighborhood membership")
-    p.add_argument("--center", required=True)
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--x", required=True)
-
-    fol = parser_group(groups, "fol", "linear torus foliations")
-    p = leaf(fol, "leaf", _run_fol_leaf, "leaf type of a slope")
-    p.add_argument("--alpha", required=True, help='"num/den" or {"p","q","d"} JSON')
-    p = leaf(fol, "leafspace", _run_fol_leafspace, "leaf space of a slope")
-    p.add_argument("--alpha", required=True)
-    p = leaf(fol, "cf", _run_fol_cf, "exact continued fraction of a slope")
-    p.add_argument("--alpha", required=True)
-    p = leaf(fol, "morita", _run_fol_morita, "Morita equivalence of rotation groupoids")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p = leaf(fol, "orbit", _run_fol_orbit, "rotation orbit on the unit circle")
-    p.add_argument("--z0", nargs=2, type=float, required=True, metavar=("RE", "IM"))
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--max-points", type=int, required=True)
-
-    atl = parser_group(groups, "atlas", "the twisted atlas group and its checker")
-    p = leaf(atl, "gmul", _run_atlas_gmul, "twisted product (A,t)*(B,s)")
-    p.add_argument("--x", required=True, help='{"a": matrix, "t": [re, im]} JSON')
-    p.add_argument("--y", required=True)
-    p = leaf(atl, "ginv", _run_atlas_ginv, "twisted-group inverse")
-    p.add_argument("--x", required=True)
-    p = leaf(atl, "zaction", _run_atlas_zaction, "integer twist (i(m)^p g, m)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--structure", choices=("trivial", "broken"), default="trivial")
-    p = leaf(atl, "source", _run_atlas_source, "source of the arrow (g, m)")
-    p.add_argument("--g", required=True)
-    p.add_argument("--m", required=True)
-    p = leaf(atl, "target", _run_atlas_target, "target of the arrow (g, m)")
-    p.add_argument("--g", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--structure", choices=("trivial", "broken"), default="trivial")
-    p = leaf(atl, "check", _run_atlas_check, "randomized groupoid-law verification")
-    p.add_argument("--structure", choices=("trivial", "broken"), default="trivial")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-
-    fix = parser_group(groups, "fixtures", "fixture corpus runner")
-    p = leaf(fix, "run", _run_fixtures_run, "run every fixture in a directory")
-    p.add_argument("--dir", required=True, help="directory of fixture JSON files")
-
+    verbs = {
+        name: groups.add_parser(name, help=help_text).add_subparsers(dest="verb", metavar="VERB")
+        for name, help_text in GROUPS.items()
+    }
+    for verb in VERBS:
+        p = verbs[verb.group].add_parser(verb.name, parents=[shared], help=verb.help)
+        p.set_defaults(command=verb)
+        target = p.add_mutually_exclusive_group(required=True) if verb.one_of else p
+        for flag in verb.flags:
+            required = not verb.one_of and "default" not in flag.options
+            target.add_argument(f"--{flag.name}", required=required, **flag.options)
     return parser
-
-
-def parser_group(groups, name: str, help_text: str):
-    group = groups.add_parser(name, help=help_text)
-    return group.add_subparsers(dest="verb", metavar="VERB")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ class SamePointError(TeichkitError):
 
 class LimitExceededError(TeichkitError):
     """The input is valid but answering it needs more work than a documented
-    limit allows (a continued-fraction period, an orbit size)."""
+    limit allows (a continued-fraction period, an orbit size, a sample count)."""
 
     code = "limit_exceeded"
 

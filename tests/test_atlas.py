@@ -301,3 +301,8 @@ class TestGroupoidCheck:
     def test_loose_tolerance_hides_break(self):
         report = groupoid_check(broken_structure(), samples=60, seed=3, tol=1e9)
         assert report.passed
+
+    def test_sample_count_is_capped(self):
+        # cap + 1 only: running the cap itself takes seconds
+        with pytest.raises(atlas.LimitExceededError):
+            groupoid_check(trivial_structure(), samples=atlas.MAX_CHECK_SAMPLES + 1)

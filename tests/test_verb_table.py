@@ -1,0 +1,58 @@
+"""The CLI verb table: fixture coverage, and argv that once escaped as tracebacks."""
+
+import io
+import json
+from pathlib import Path
+
+from teichkit import cli
+from teichkit.atlas import MAX_CHECK_SAMPLES
+
+FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(argv, out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_json_error(argv, error):
+    code, out, err = run(argv)
+    assert (code, out) == (1, ""), (argv, err)
+    doc = json.loads(err)
+    assert set(doc) == {"error", "message"} and doc["error"] == error
+
+
+def test_every_verb_has_a_fixture():
+    covered = {tuple(json.loads(path.read_text())["command"][:2]) for path in FIXTURES_DIR.glob("*.json")}
+    rows = {(verb.group, verb.name) for verb in cli.VERBS} - {("fixtures", "run")}
+    assert len(rows) == len(cli.VERBS) - 1
+    assert sorted(rows - covered) == []
+
+
+def test_non_finite_resonance_order_is_usage_error():
+    for order in ("inf", "-inf", "nan"):
+        code, out, err = run(["hopf", "classify", "--resonant", "0.5", "0", order])
+        assert (code, out) == (2, ""), order
+        assert "Traceback" not in err
+        if order != "-inf":  # argparse reads "-inf" as an unknown option
+            assert err == f"error: resonance order must be an integer, got {order}\n"
+
+
+def test_unprintable_result_is_invalid_input():
+    for argv in (
+        ["alg", "det", "--matrix", "[[[1e200,0],[0,0]],[[0,0],[1e200,0]]]"],
+        ["alg", "trace", "--matrix", "[[[1.7e308,0],[0,0]],[[0,0],[1.7e308,0]]]"],
+        ["alg", "quadratic-roots", "--d", "1e308", "0", "--t", "1e308", "0"],
+        ["tori", "moebius", "--matrix", "[[0,-1],[1,0]]", "--tau", "0", "1e-320"],
+        ["tori", "reduce", "--tau", "0", "1e-320"],
+        ["tori", "lattice-reduce", "--z", "1e308", "1e308", "--tau", "0", "1e-300"],
+        # an exact product past the interpreter's 4300-digit int-to-str limit
+        ["alg", "imul", "--a", f"[[{10**3000},0],[0,1]]", "--b", f"[[{10**3000},0],[0,1]]"],
+    ):
+        assert_json_error(argv, "invalid_input")
+
+
+def test_check_sample_count_is_capped():
+    # cap + 1 only: running the cap itself takes seconds
+    assert_json_error(["atlas", "check", "--samples", str(MAX_CHECK_SAMPLES + 1)], "limit_exceeded")
