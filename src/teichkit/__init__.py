@@ -91,9 +91,9 @@ from .teich import (
     separated,
     twin,
 )
-from .fixtures import json_close, run_fixtures
+from .fixtures import run_fixtures
 from .jsonio import SchemaError, canonical_dumps
-from .tolerance import DEFAULT_EPS, default_eps, set_default_eps
+from .tolerance import DEFAULT_EPS, default_eps, tolerance
 from .tori import (
     S,
     T,

@@ -35,20 +35,16 @@ def arg_unit_interval(z: complex) -> float:
     return a + _TWO_PI if a < 0.0 else a
 
 
-def order_by_modulus(
-    z1: complex, z2: complex, eps: float | None = None
-) -> tuple[complex, complex]:
+def order_by_modulus(z1: complex, z2: complex) -> tuple[complex, complex]:
     """Sort two scalars by descending modulus, ties by ascending argument."""
-    eps = resolve(eps)
+    eps = resolve()
     m1, m2 = abs(z1), abs(z2)
     if abs(m1 - m2) <= eps:
         return (z1, z2) if arg_unit_interval(z1) <= arg_unit_interval(z2) else (z2, z1)
     return (z1, z2) if m1 > m2 else (z2, z1)
 
 
-def quadratic_roots(
-    d: complex, t: complex, eps: float | None = None
-) -> tuple[complex, complex]:
+def quadratic_roots(d: complex, t: complex) -> tuple[complex, complex]:
     """Both roots of x**2 - t*x + d, in the library's canonical order.
 
     Cancellation safe: the dominant root comes from the stable branch of the
@@ -61,7 +57,7 @@ def quadratic_roots(
         u = -u
     big = 0.5 * (t + u)
     small = d / big if big != 0 else 0.5 * (t - u)
-    return order_by_modulus(big, small, eps)
+    return order_by_modulus(big, small)
 
 
 @dataclass(frozen=True, init=False)
@@ -116,9 +112,9 @@ class Matrix2C:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self, eps: float | None = None) -> "Matrix2C":
+    def inverse(self) -> "Matrix2C":
         det = self.det
-        if abs(det) <= resolve(eps):
+        if abs(det) <= resolve():
             raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
         return Matrix2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
@@ -132,7 +128,7 @@ class Matrix2C:
         return all(abs(x - y) <= tol for x, y in zip(self.entries(), other.entries()))
 
 
-def eigen2(m: Matrix2C, eps: float | None = None) -> tuple[complex, complex, bool]:
+def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:
     """Eigenvalues of m (canonical order) and a diagonalizability flag.
 
     Distinct eigenvalues beyond eps are always diagonalizable.  For a double
@@ -140,8 +136,8 @@ def eigen2(m: Matrix2C, eps: float | None = None) -> tuple[complex, complex, boo
     flag is the exact intent instead: the matrix is diagonalizable iff it is
     the scalar matrix, tested entrywise in max norm.
     """
-    l1, l2 = quadratic_roots(m.det, m.trace, eps)
-    eps = resolve(eps)
+    l1, l2 = quadratic_roots(m.det, m.trace)
+    eps = resolve()
     if abs(l1 - l2) > eps:
         return l1, l2, True
     dist = max(abs(m.a - l1), abs(m.b), abs(m.c), abs(m.d - l1))

@@ -46,7 +46,7 @@ class GroupElement:
     def __post_init__(self) -> None:
         if not isinstance(self.a, Matrix2C):
             raise InvalidInputError(f"matrix part must be Matrix2C, got {type(self.a).__name__}")
-        if abs(self.a.det) <= resolve(None):
+        if abs(self.a.det) <= resolve():
             raise SingularMatrixError(f"group element needs an invertible matrix, det = {self.a.det!r}")
         object.__setattr__(self, "t", ensure_finite(self.t, "t"))
 

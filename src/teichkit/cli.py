@@ -5,17 +5,18 @@ stdout.  Exit codes: 0 success; 1 domain error, with {"error", "message"}
 on stderr; 2 usage error (unknown verbs, malformed or mis-shaped JSON,
 bad flag values).  A result that cannot be written as JSON (a float that
 overflowed to inf or nan, an integer too long to print) is the domain error
-invalid_input, and nothing is printed on stdout.  The tolerance used by
-approximate comparisons can be overridden per invocation with --eps or the
-TEICHKIT_EPS environment variable (the flag wins).
+invalid_input, and nothing is printed on stdout.  Each command decodes its
+flags and runs its library call inside one ``with tolerance(eps):`` block.
+eps is --eps, else the TEICHKIT_EPS environment variable, else the tolerance
+already in force where dispatch was called; nothing outlives the block.
 
 Every verb is one row of VERBS: its group, name, help text, typed flags and
 the library call with its encoder.  The parser and dispatch both read only
 that table.  A flag's kind (KINDS) says how argparse reads it and how
-dispatch decodes the raw value.  Decoding runs inside dispatch, after the
-tolerance is in force, so that schema and domain errors keep their exit
-codes; library and jsonio functions are looked up when called, never
-captured when the table is built.
+dispatch decodes the raw value.  Decoding runs inside dispatch, inside the
+tolerance block, so that schema and domain errors keep their exit codes;
+library and jsonio functions are looked up when called, never captured when
+the table is built.
 
 The argparse parser is built once per process, on the first dispatch, and
 reused: parse_args keeps no state between calls and returns a fresh
@@ -57,7 +58,7 @@ from .jsonio import (
     enc_teich_point,
     loads_strict,
 )
-from .tolerance import default_eps, set_default_eps
+from .tolerance import resolve, tolerance
 
 _ENV_EPS = "TEICHKIT_EPS"
 
@@ -78,8 +79,8 @@ def dispatch(argv, out=None, err=None) -> int:
             return int(exc.code or 0)
 
     verb = getattr(args, "command", None)
-    if verb is None:
-        parser.print_usage(err)
+    if verb is None:  # no group, or a group without a verb: that parser's usage
+        getattr(args, "group_parser", parser).print_usage(err)
         return 2
 
     try:
@@ -88,12 +89,10 @@ def dispatch(argv, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
 
-    previous = default_eps()
     try:
-        if eps is not None:
-            set_default_eps(eps)
-        values = [flag.decode(getattr(args, flag.dest)) for flag in verb.flags]
-        result = verb.run(*values)
+        with tolerance(eps):
+            values = [flag.decode(getattr(args, flag.dest)) for flag in verb.flags]
+            result = verb.run(*values)
         payload, code = result if isinstance(result, tuple) else (result, 0)
         try:
             text = canonical_dumps(payload)
@@ -105,19 +104,18 @@ def dispatch(argv, out=None, err=None) -> int:
     except TeichkitError as exc:
         print(canonical_dumps({"error": exc.code, "message": str(exc)}), file=err)
         return 1
-    finally:
-        set_default_eps(previous)
 
     print(text, file=out)
     return code
 
 
-def _resolve_eps(args) -> float | None:
+def _resolve_eps(args) -> float:
+    """--eps, else TEICHKIT_EPS, else the tolerance already in force."""
     value = getattr(args, "eps", None)
     if value is None:
         raw = os.environ.get(_ENV_EPS)
         if raw is None:
-            return None
+            return resolve()
         try:
             value = float(raw)
         except ValueError:
@@ -442,10 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--eps", type=float, default=None, help="tolerance override")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-    verbs = {
-        name: groups.add_parser(name, help=help_text).add_subparsers(dest="verb", metavar="VERB")
-        for name, help_text in GROUPS.items()
-    }
+    verbs = {}
+    for name, help_text in GROUPS.items():
+        group = groups.add_parser(name, help=help_text)
+        group.set_defaults(group_parser=group)
+        verbs[name] = group.add_subparsers(dest="verb", metavar="VERB")
     for verb in VERBS:
         p = verbs[verb.group].add_parser(verb.name, parents=[shared], help=verb.help)
         p.set_defaults(command=verb)

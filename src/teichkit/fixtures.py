@@ -7,10 +7,11 @@ A fixture is one JSON file:
 
 Optional keys: "exit" (expected exit code, default 0) and, for exit 1,
 "expected_error" compared against the stderr document.  Commands run
-in-process through cli.dispatch.  Pass/fail is decided by tolerant JSON
-comparison (numbers within 1e-9); the runner additionally reports whether
-every successful command's stdout matched the canonical serialization of
-its expected document byte for byte.
+in-process through cli.dispatch.  A fixture passes only when its stdout
+(or, for an expected error, its stderr document) equals the canonical
+serialization of the expected document byte for byte; there is no numeric
+tolerance.  The summary's "byte_exact" is true when every compared output
+matched.
 """
 
 from __future__ import annotations
@@ -20,23 +21,8 @@ from pathlib import Path
 
 from .jsonio import SchemaError, canonical_dumps, loads_strict
 
-_TOL = 1e-9
 
-
-def json_close(a, b, tol: float = _TOL) -> bool:
-    """Structural equality with numeric tolerance; bools never match numbers."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(a - b) <= tol
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(json_close(x, y, tol) for x, y in zip(a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return set(a) == set(b) and all(json_close(a[k], b[k], tol) for k in a)
-    return a == b
-
-
-def run_fixtures(path, tol: float = _TOL) -> dict:
+def run_fixtures(path) -> dict:
     """Run every *.json fixture under `path`; returns a summary document."""
     from .cli import dispatch
 
@@ -49,7 +35,7 @@ def run_fixtures(path, tol: float = _TOL) -> dict:
     failures: list[dict] = []
     for fixture in sorted(directory.glob("*.json")):
         total += 1
-        ok, bytes_ok, reason = _run_one(fixture, dispatch, tol)
+        ok, bytes_ok, reason = _run_one(fixture, dispatch)
         byte_exact = byte_exact and bytes_ok
         if not ok:
             failures.append({"fixture": fixture.name, "reason": reason})
@@ -63,7 +49,7 @@ def run_fixtures(path, tol: float = _TOL) -> dict:
     }
 
 
-def _run_one(path: Path, dispatch, tol: float) -> tuple[bool, bool, str]:
+def _run_one(path: Path, dispatch) -> tuple[bool, bool, str]:
     try:
         doc = loads_strict(path.read_text(), path.name)
     except (OSError, SchemaError) as exc:
@@ -85,18 +71,13 @@ def _run_one(path: Path, dispatch, tol: float) -> tuple[bool, bool, str]:
     if want_code == 0:
         if "expected" not in doc:
             return False, True, 'fixture with exit 0 needs an "expected" document'
-        return _compare(out.getvalue(), doc["expected"], path.name, tol)
+        return _compare(out.getvalue(), doc["expected"])
     if want_code == 1 and "expected_error" in doc:
-        return _compare(err.getvalue(), doc["expected_error"], path.name, tol)
+        return _compare(err.getvalue(), doc["expected_error"])
     return True, True, ""
 
 
-def _compare(text: str, expected, name: str, tol: float) -> tuple[bool, bool, str]:
-    try:
-        actual = loads_strict(text, f"{name} output")
-    except SchemaError as exc:
-        return False, False, str(exc)
-    bytes_ok = text == canonical_dumps(expected) + "\n"
-    if not json_close(actual, expected, tol):
-        return False, bytes_ok, f"output {text.strip()} != expected {canonical_dumps(expected)}"
-    return True, bytes_ok, ""
+def _compare(text: str, expected) -> tuple[bool, bool, str]:
+    want = canonical_dumps(expected)
+    ok = text == want + "\n"
+    return ok, ok, "" if ok else f"output {text.strip()} != expected {want}"

@@ -136,7 +136,7 @@ def leaf_space(alpha: Slope) -> LeafSpace:
     return NonHausdorffQuotient()
 
 
-def rotation_orbit(z0: complex, alpha: Slope, max_points: int, eps: float | None = None) -> list[complex]:
+def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     """Orbit of z0 on the unit circle under z -> exp(2*pi*i*alpha) * z.
 
     For a rational slope p/q in lowest terms the orbit is the full cyclic
@@ -151,7 +151,7 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int, eps: float | None
     if max_points > MAX_ORBIT_POINTS:
         raise LimitExceededError(f"max_points must be at most {MAX_ORBIT_POINTS}, got {max_points}")
     z0 = ensure_finite(complex(z0), "z0")
-    if abs(abs(z0) - 1.0) > resolve(eps):
+    if abs(abs(z0) - 1.0) > resolve():
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
     if isinstance(alpha, Fraction):
         count = min(alpha.denominator, max_points)

@@ -54,7 +54,7 @@ class Diagonal:
     lambda2: complex
 
     def __post_init__(self) -> None:
-        eps = resolve(None)
+        eps = resolve()
         l1 = ensure_finite(self.lambda1, "lambda1")
         l2 = ensure_finite(self.lambda2, "lambda2")
         if not (_annulus(l1, eps) and _annulus(l2, eps)):
@@ -74,7 +74,7 @@ class Resonant:
 
     def __post_init__(self) -> None:
         lam = ensure_finite(self.lam, "lam")
-        if not _annulus(lam, resolve(None)):
+        if not _annulus(lam, resolve()):
             raise InvalidInputError("lam modulus must lie strictly inside (0, 1)")
         if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
             raise InvalidInputError(f"p must be a positive integer, got {self.p!r}")
@@ -84,24 +84,22 @@ class Resonant:
 HopfClass = Diagonal | Resonant
 
 
-def is_contracting(m: Matrix2C, eps: float | None = None) -> bool:
+def is_contracting(m: Matrix2C) -> bool:
     """Both eigenvalue moduli strictly inside (0, 1), with an eps guard band
     on either end (also excludes non-invertible matrices)."""
-    l1, l2, _ = eigen2(m, eps)
-    eps = resolve(eps)
+    l1, l2, _ = eigen2(m)
+    eps = resolve()
     return _annulus(l1, eps) and _annulus(l2, eps)
 
 
-def resonance_order(
-    lambda_big: complex, lambda_small: complex, eps: float | None = None
-) -> int | None:
+def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
     """The unique p >= 1 with lambda_big**p = lambda_small, or None.
 
     |lambda_big|**p is strictly decreasing, so the modulus ratio pins down
     the single candidate; one closed-form guess plus one complex
     verification decides, capped at p <= 64.
     """
-    eps = resolve(eps)
+    eps = resolve()
     lambda_big = ensure_finite(lambda_big, "lambda_big")
     lambda_small = ensure_finite(lambda_small, "lambda_small")
     b, s = abs(lambda_big), abs(lambda_small)
@@ -118,7 +116,7 @@ def resonance_order(
     return candidate if abs(lambda_big**candidate - lambda_small) <= eps else None
 
 
-def classify(data: ContractionInput, eps: float | None = None) -> HopfClass:
+def classify(data: ContractionInput) -> HopfClass:
     """Biholomorphism class of the Hopf surface of a contraction.
 
     Linear and diagonalizable gives Diagonal; linear with a Jordan block
@@ -127,18 +125,18 @@ def classify(data: ContractionInput, eps: float | None = None) -> HopfClass:
     independently of c (conjugating by (z, w) -> (c*z, w) rescales c to 1).
     """
     if isinstance(data, Matrix2C):
-        if not is_contracting(data, eps):
+        if not is_contracting(data):
             raise NotContractingError("matrix eigenvalue moduli must lie in (0, 1)")
-        l1, l2, diagonalizable = eigen2(data, eps)
+        l1, l2, diagonalizable = eigen2(data)
         if diagonalizable:
             return Diagonal(l1, l2)
         return Resonant(l1, 1)
     if isinstance(data, ResonantForm):
-        eps_r = resolve(eps)
-        if not _annulus(data.lam, eps_r):
+        eps = resolve()
+        if not _annulus(data.lam, eps):
             raise NotContractingError("resonant form requires 0 < |lam| < 1")
-        if abs(data.c) <= eps_r:
-            big, small = order_by_modulus(data.lam, data.lam**data.p, eps)
+        if abs(data.c) <= eps:
+            big, small = order_by_modulus(data.lam, data.lam**data.p)
             return Diagonal(big, small)
         return Resonant(data.lam, data.p)
     raise InvalidInputError(f"unsupported contraction input {data!r}")
@@ -150,8 +148,8 @@ def det_trace(m: Matrix2C) -> tuple[complex, complex]:
     return m.det, m.trace
 
 
-def class_equal(a: HopfClass, b: HopfClass, eps: float | None = None) -> bool:
-    eps = resolve(eps)
+def class_equal(a: HopfClass, b: HopfClass) -> bool:
+    eps = resolve()
     if isinstance(a, Diagonal) and isinstance(b, Diagonal):
         return (
             abs(a.lambda1 - b.lambda1) <= eps and abs(a.lambda2 - b.lambda2) <= eps
@@ -161,8 +159,6 @@ def class_equal(a: HopfClass, b: HopfClass, eps: float | None = None) -> bool:
     return False
 
 
-def biholomorphic(
-    a: ContractionInput, b: ContractionInput, eps: float | None = None
-) -> bool:
+def biholomorphic(a: ContractionInput, b: ContractionInput) -> bool:
     """Whether two contractions define biholomorphic Hopf surfaces."""
-    return class_equal(classify(a, eps), classify(b, eps), eps)
+    return class_equal(classify(a), classify(b))

@@ -85,6 +85,8 @@ def loads_strict(text: str, what: str = "input"):
         raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what}: malformed JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def _real(v, what: str) -> float:

@@ -26,12 +26,12 @@ from .hopf import Diagonal, HopfClass, Resonant, resonance_order
 from .tolerance import resolve
 
 
-def in_base_domain(det: complex, trace: complex, eps: float | None = None) -> bool:
+def in_base_domain(det: complex, trace: complex) -> bool:
     """Whether (det, trace) is realized by a contracting invertible matrix:
     both roots of x**2 - trace*x + det have modulus in (0, 1), tested with
     the usual eps guard band (which also forces det != 0)."""
-    r1, r2 = quadratic_roots(det, trace, eps)
-    eps = resolve(eps)
+    r1, r2 = quadratic_roots(det, trace)
+    eps = resolve()
     return all(eps < abs(r) < 1.0 - eps for r in (r1, r2))
 
 
@@ -97,17 +97,17 @@ def point_of_class(c: HopfClass) -> TeichPoint:
     raise InvalidPointError(f"unsupported class {c!r}")
 
 
-def class_of_point(x: TeichPoint, eps: float | None = None) -> HopfClass:
+def class_of_point(x: TeichPoint) -> HopfClass:
     """Inverse of point_of_class."""
     if isinstance(x, BasePoint):
-        l1, l2 = quadratic_roots(x.det, x.trace, eps)
+        l1, l2 = quadratic_roots(x.det, x.trace)
         return Diagonal(l1, l2)
     if isinstance(x, CurvePoint):
         return Resonant(x.lam, x.order)
     raise InvalidPointError(f"unsupported point {x!r}")
 
 
-def twin(x: TeichPoint, eps: float | None = None) -> TeichPoint | None:
+def twin(x: TeichPoint) -> TeichPoint | None:
     """The other point with the same image, or None.
 
     Every curve point has a base twin.  A base point has a twin exactly when
@@ -118,17 +118,17 @@ def twin(x: TeichPoint, eps: float | None = None) -> TeichPoint | None:
     if isinstance(x, CurvePoint):
         det, trace = _curve_image(x.order, x.lam)
         return BasePoint(det, trace)
-    r1, r2 = quadratic_roots(x.det, x.trace, eps)
-    if abs(r1 - r2) <= resolve(eps):
+    r1, r2 = quadratic_roots(x.det, x.trace)
+    if abs(r1 - r2) <= resolve():
         return CurvePoint(1, 0.5 * (r1 + r2))
-    p = resonance_order(r1, r2, eps)
+    p = resonance_order(r1, r2)
     if p is not None and p >= 2:
         return CurvePoint(p, r1)
     return None
 
 
-def points_equal(x: TeichPoint, y: TeichPoint, eps: float | None = None) -> bool:
-    eps = resolve(eps)
+def points_equal(x: TeichPoint, y: TeichPoint) -> bool:
+    eps = resolve()
     if isinstance(x, BasePoint) and isinstance(y, BasePoint):
         return abs(x.det - y.det) <= eps and abs(x.trace - y.trace) <= eps
     if isinstance(x, CurvePoint) and isinstance(y, CurvePoint):
@@ -142,35 +142,33 @@ def _image_distance(x: TeichPoint, y: TeichPoint) -> float:
     return max(abs(dx - dy), abs(tx - ty))
 
 
-def separated(x: TeichPoint, y: TeichPoint, eps: float | None = None) -> bool:
+def separated(x: TeichPoint, y: TeichPoint) -> bool:
     """Whether two distinct points admit disjoint neighborhoods.
 
     False exactly when the images coincide within tolerance, i.e. for twin
     pairs; every other pair is separated by image-coordinate balls.
     """
-    if points_equal(x, y, eps):
+    if points_equal(x, y):
         raise SamePointError("separation is asked for two distinct points")
-    return _image_distance(x, y) > resolve(eps)
+    return _image_distance(x, y) > resolve()
 
 
-def adheres(x: TeichPoint, y: TeichPoint, eps: float | None = None) -> bool:
+def adheres(x: TeichPoint, y: TeichPoint) -> bool:
     """Whether y lies in every neighborhood of x (one-sided closeness).
 
     True for y = x, and for x a base point whose curve twin is y.  The
     reverse direction is false: curve-point neighborhoods omit the base
     points of their own locus.
     """
-    if points_equal(x, y, eps):
+    if points_equal(x, y):
         return True
     if isinstance(x, BasePoint):
-        t = twin(x, eps)
-        return t is not None and points_equal(t, y, eps)
+        t = twin(x)
+        return t is not None and points_equal(t, y)
     return False
 
 
-def neighborhood_contains(
-    center: TeichPoint, radius: float, x: TeichPoint, eps: float | None = None
-) -> bool:
+def neighborhood_contains(center: TeichPoint, radius: float, x: TeichPoint) -> bool:
     """Whether x lies in the basic neighborhood of the given center and
     radius (open max-norm ball in image coordinates, minus the center
     curve's own base locus when the center is a curve point)."""
@@ -180,7 +178,7 @@ def neighborhood_contains(
     if _image_distance(center, x) >= radius:
         return False
     if isinstance(center, CurvePoint) and isinstance(x, BasePoint):
-        t = twin(x, eps)
+        t = twin(x)
         if isinstance(t, CurvePoint) and t.order == center.order:
             return False
     return True

@@ -1,39 +1,44 @@
-"""Single global comparison tolerance.
+"""One comparison tolerance, carried in a context.
 
-Every approximate comparison in the library routes through one epsilon so
-floating noise is handled in one place.  Operations take an ``eps`` keyword
-(``None`` means "use the current default") to override it per call chain;
-the CLI maps the ``TEICHKIT_EPS`` environment variable and the ``--eps``
-flag onto :func:`set_default_eps`.
+Every approximate comparison in the library reads the tolerance in force
+through :func:`resolve`, so floating noise is handled in one place.  The
+value lives in a :class:`contextvars.ContextVar` (PEP 567) whose default is
+``DEFAULT_EPS``.  ``with tolerance(eps):`` puts ``eps`` in force for the
+block, value-object constructors included, and restores the outer value on
+exit, also when the block raises.  The value is per thread: a new thread
+starts at ``DEFAULT_EPS``, whatever is in force in the thread that started
+it.  The CLI runs each command inside one such block, with the value of
+``--eps`` or ``TEICHKIT_EPS`` when either is given.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 DEFAULT_EPS = 1e-9
 
-_current_eps = DEFAULT_EPS
+_EPS = contextvars.ContextVar("teichkit_eps", default=DEFAULT_EPS)
 
 
-def default_eps() -> float:
-    return _current_eps
-
-
-def set_default_eps(eps: float) -> None:
-    global _current_eps
-    _current_eps = _validated(eps)
-
-
-def resolve(eps: float | None) -> float:
-    """The effective tolerance for one call: ``eps`` or the global default."""
-    if eps is None:
-        return _current_eps
-    return _validated(eps)
-
-
-def _validated(eps: float) -> float:
+@contextlib.contextmanager
+def tolerance(eps: float):
+    """Compare within ``eps``, a positive finite real, inside the block."""
     eps = float(eps)
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be a positive finite real, got {eps!r}")
-    return eps
+    token = _EPS.set(eps)
+    try:
+        yield eps
+    finally:
+        _EPS.reset(token)
+
+
+def resolve() -> float:
+    """The tolerance in force."""
+    return _EPS.get()
+
+
+# a second name for the same function; callers read the tolerance in force by it
+default_eps = resolve

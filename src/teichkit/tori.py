@@ -47,9 +47,7 @@ def moebius(m: IntMatrix2, tau: complex) -> complex:
     return (m.a * tau + m.b) / (m.c * tau + m.d)
 
 
-def reduce_fundamental_domain(
-    tau: complex, eps: float | None = None
-) -> tuple[complex, IntMatrix2]:
+def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
     """Reduce tau into the fundamental domain, returning (tau*, witness).
 
     Gauss reduction: alternately translate Re into [-1/2, 1/2) and invert
@@ -57,7 +55,7 @@ def reduce_fundamental_domain(
     on every inversion.  The witness A is exact in SL2(Z) and satisfies
     moebius(A, tau) = tau*; reduction is idempotent on interior points.
     """
-    eps = resolve(eps)
+    eps = resolve()
     tau = require_upper_half(tau)
     acc = IntMatrix2.identity()
     for _ in range(_MAX_REDUCE_STEPS):
@@ -82,9 +80,7 @@ def reduce_fundamental_domain(
     return tau, acc
 
 
-def tori_equivalent(
-    tau1: complex, tau2: complex, eps: float | None = None
-) -> IntMatrix2 | None:
+def tori_equivalent(tau1: complex, tau2: complex) -> IntMatrix2 | None:
     """Witness in SL2(Z) mapping tau1 to tau2, or None.
 
     Both parameters are reduced; with the canonical boundary side they are
@@ -92,9 +88,9 @@ def tori_equivalent(
     100*eps to absorb the float noise of the two reductions).  The witness
     composes the reductions: A2^-1 . A1.
     """
-    eps = resolve(eps)
-    r1, a1 = reduce_fundamental_domain(tau1, eps)
-    r2, a2 = reduce_fundamental_domain(tau2, eps)
+    eps = resolve()
+    r1, a1 = reduce_fundamental_domain(tau1)
+    r2, a2 = reduce_fundamental_domain(tau2)
     if abs(r1 - r2) <= _EQUIV_SCALE * eps:
         return a2.inverse() @ a1
     return None
@@ -150,11 +146,9 @@ def zero_translation(tau: complex) -> TorusTranslation:
     return TorusTranslation(tau, 0.0, 0.0)
 
 
-def translation_compose(
-    t1: TorusTranslation, t2: TorusTranslation, eps: float | None = None
-) -> TorusTranslation:
+def translation_compose(t1: TorusTranslation, t2: TorusTranslation) -> TorusTranslation:
     """Group law on one fiber: add lattice coordinates mod 1."""
-    if abs(t1.tau - t2.tau) > resolve(eps):
+    if abs(t1.tau - t2.tau) > resolve():
         raise MismatchedFiberError(
             f"translations live on different fibers: {t1.tau!r} vs {t2.tau!r}"
         )

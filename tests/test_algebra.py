@@ -17,6 +17,7 @@ from teichkit import (
     eigen2,
     order_by_modulus,
     quadratic_roots,
+    tolerance,
 )
 from teichkit.algebra import ensure_finite
 from oracles import random_conjugator, random_unimodular
@@ -115,8 +116,8 @@ class TestMatrix2C:
     def test_inverse_eps_widens_rejection(self):
         m = Matrix2C.diag(1e-3, 1e-3)
         assert m.inverse() is not None
-        with pytest.raises(SingularMatrixError):
-            m.inverse(eps=1e-2)
+        with pytest.raises(SingularMatrixError), tolerance(1e-2):
+            m.inverse()
 
     def test_rejects_non_finite_entry(self):
         with pytest.raises(InvalidInputError):
@@ -184,7 +185,8 @@ class TestEigen2:
         # off-diagonal below tolerance: still treated as the scalar matrix
         m = Matrix2C(0.5, 1e-12, 0.0, 0.5)
         assert eigen2(m)[2] is True
-        assert eigen2(m, eps=1e-15)[2] is False
+        with tolerance(1e-15):
+            assert eigen2(m)[2] is False
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100)

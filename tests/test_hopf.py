@@ -22,6 +22,7 @@ from teichkit import (
     det_trace,
     is_contracting,
     resonance_order,
+    tolerance,
 )
 from oracles import brute_resonance_order, random_conjugator, random_contracting, random_dyadic_jordan
 
@@ -38,7 +39,8 @@ class TestIsContracting:
         assert not is_contracting(Matrix2C.diag(1 - 1e-12, 0.5))
         assert not is_contracting(Matrix2C.diag(1e-12, 0.5))
         assert is_contracting(Matrix2C.diag(0.95, 0.5))
-        assert not is_contracting(Matrix2C.diag(0.95, 0.5), eps=0.1)
+        with tolerance(0.1):
+            assert not is_contracting(Matrix2C.diag(0.95, 0.5))
 
     def test_complex_spectrum(self):
         rot = Matrix2C(0.0, -0.5, 0.5, 0.0)  # eigenvalues +-0.5i
@@ -65,7 +67,8 @@ class TestResonanceOrder:
 
     def test_eps_widens_match(self):
         assert resonance_order(0.5, 0.2500001) is None
-        assert resonance_order(0.5, 0.2500001, eps=1e-3) == 2
+        with tolerance(1e-3):
+            assert resonance_order(0.5, 0.2500001) == 2
 
     def test_domain_errors(self):
         with pytest.raises(InvalidInputError):
@@ -134,7 +137,9 @@ class TestClassify:
         m = random_contracting(rng, separation=1e-3)
         basis = random_conjugator(rng)
         conjugated = basis @ (m @ basis.inverse())
-        assert class_equal(classify(m), classify(conjugated), eps=1e-7)
+        got, want = classify(m), classify(conjugated)
+        with tolerance(1e-7):
+            assert class_equal(got, want)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100)
@@ -203,7 +208,8 @@ class TestBiholomorphic:
     def test_eps_loosens_comparison(self):
         a, b = Matrix2C.diag(0.5, 0.25), Matrix2C.diag(0.5 + 1e-8, 0.25)
         assert not biholomorphic(a, b)
-        assert biholomorphic(a, b, eps=1e-6)
+        with tolerance(1e-6):
+            assert biholomorphic(a, b)
 
 
 class TestClassEqual:

@@ -25,6 +25,7 @@ from teichkit import (
     point_of_class,
     points_equal,
     separated,
+    tolerance,
     twin,
 )
 
@@ -47,7 +48,8 @@ class TestBaseDomain:
 
     def test_eps_argument(self):
         assert in_base_domain(0.01, 0.2)
-        assert not in_base_domain(0.01, 0.2, eps=0.11)
+        with tolerance(0.11):
+            assert not in_base_domain(0.01, 0.2)
 
     def test_base_point_validation(self):
         with pytest.raises(InvalidPointError):
@@ -118,7 +120,8 @@ class TestTwin:
         near = lam**2 + 1e-12
         base = BasePoint(lam * near, lam + near)
         assert isinstance(twin(base), CurvePoint)
-        assert twin(base, eps=1e-14) is None
+        with tolerance(1e-14):
+            assert twin(base) is None
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=300, deadline=None)
