@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, NotUnimodularError, SingularMatrixError
-from .tolerance import resolve
+from .tolerance import within
 
 _TWO_PI = 2.0 * math.pi
 
@@ -37,9 +37,8 @@ def arg_unit_interval(z: complex) -> float:
 
 def order_by_modulus(z1: complex, z2: complex) -> tuple[complex, complex]:
     """Sort two scalars by descending modulus, ties by ascending argument."""
-    eps = resolve()
     m1, m2 = abs(z1), abs(z2)
-    if abs(m1 - m2) <= eps:
+    if within(m1 - m2):
         return (z1, z2) if arg_unit_interval(z1) <= arg_unit_interval(z2) else (z2, z1)
     return (z1, z2) if m1 > m2 else (z2, z1)
 
@@ -114,7 +113,7 @@ class Matrix2C:
 
     def inverse(self) -> "Matrix2C":
         det = self.det
-        if abs(det) <= resolve():
+        if within(det):
             raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
         return Matrix2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
@@ -137,11 +136,9 @@ def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:
     the scalar matrix, tested entrywise in max norm.
     """
     l1, l2 = quadratic_roots(m.det, m.trace)
-    eps = resolve()
-    if abs(l1 - l2) > eps:
+    if not within(l1 - l2):
         return l1, l2, True
-    dist = max(abs(m.a - l1), abs(m.b), abs(m.c), abs(m.d - l1))
-    return l1, l2, dist <= eps
+    return l1, l2, within(max(abs(m.a - l1), abs(m.b), abs(m.c), abs(m.d - l1)))
 
 
 def _ensure_int(v: int, name: str) -> int:

@@ -31,7 +31,7 @@ from .errors import (
     TeichkitError,
 )
 from .hopf import is_contracting
-from .tolerance import resolve
+from .tolerance import within
 
 MAX_CHECK_SAMPLES = 100_000  # largest sample count groupoid_check accepts
 
@@ -46,8 +46,9 @@ class GroupElement:
     def __post_init__(self) -> None:
         if not isinstance(self.a, Matrix2C):
             raise InvalidInputError(f"matrix part must be Matrix2C, got {type(self.a).__name__}")
-        if abs(self.a.det) <= resolve():
-            raise SingularMatrixError(f"group element needs an invertible matrix, det = {self.a.det!r}")
+        ad, bc = self.a.a * self.a.d, self.a.b * self.a.c
+        if within(ad - bc, abs(ad) + abs(bc)):
+            raise SingularMatrixError(f"group element needs an invertible matrix, det = {ad - bc!r}")
         object.__setattr__(self, "t", ensure_finite(self.t, "t"))
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys
 from fractions import Fraction
@@ -58,7 +57,7 @@ from .jsonio import (
     enc_teich_point,
     loads_strict,
 )
-from .tolerance import resolve, tolerance
+from .tolerance import checked_eps, resolve, tolerance
 
 _ENV_EPS = "TEICHKIT_EPS"
 
@@ -84,13 +83,7 @@ def dispatch(argv, out=None, err=None) -> int:
         return 2
 
     try:
-        eps = _resolve_eps(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-
-    try:
-        with tolerance(eps):
+        with tolerance(_resolve_eps(args)):
             values = [flag.decode(getattr(args, flag.dest)) for flag in verb.flags]
             result = verb.run(*values)
         payload, code = result if isinstance(result, tuple) else (result, 0)
@@ -113,16 +106,13 @@ def _resolve_eps(args) -> float:
     """--eps, else TEICHKIT_EPS, else the tolerance already in force."""
     value = getattr(args, "eps", None)
     if value is None:
-        raw = os.environ.get(_ENV_EPS)
-        if raw is None:
+        value = os.environ.get(_ENV_EPS)
+        if value is None:
             return resolve()
-        try:
-            value = float(raw)
-        except ValueError:
-            raise SchemaError(f"{_ENV_EPS} must be a number, got {raw!r}") from None
-    if math.isnan(value) or math.isinf(value) or not value > 0.0:
-        raise SchemaError(f"eps must be a positive finite number, got {value!r}")
-    return value
+    try:
+        return checked_eps(value)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 # ------------------------------------------------------------ argument kinds

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotOnCircleError
 from .surd import QuadraticIrrational, continued_fraction_expansion, periodic_state_keys
-from .tolerance import resolve
+from .tolerance import within
 
 Slope = Fraction | QuadraticIrrational
 
@@ -151,7 +151,7 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     if max_points > MAX_ORBIT_POINTS:
         raise LimitExceededError(f"max_points must be at most {MAX_ORBIT_POINTS}, got {max_points}")
     z0 = ensure_finite(complex(z0), "z0")
-    if abs(abs(z0) - 1.0) > resolve():
+    if not within(abs(z0) - 1.0):
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
     if isinstance(alpha, Fraction):
         count = min(alpha.denominator, max_points)

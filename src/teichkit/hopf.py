@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import Matrix2C, eigen2, ensure_finite, order_by_modulus
 from .errors import InvalidInputError, NotContractingError
-from .tolerance import resolve
+from .tolerance import inside_unit, resolve, within
 
 # |lam|**p reaches any sensible tolerance long before this cap
 RESONANCE_MAX_ORDER = 64
@@ -42,10 +42,6 @@ class ResonantForm:
 ContractionInput = Matrix2C | ResonantForm
 
 
-def _annulus(lam: complex, eps: float) -> bool:
-    return eps < abs(lam) < 1.0 - eps
-
-
 @dataclass(frozen=True)
 class Diagonal:
     """Class of the diagonal surface with eigenvalues (lambda1, lambda2)."""
@@ -54,12 +50,11 @@ class Diagonal:
     lambda2: complex
 
     def __post_init__(self) -> None:
-        eps = resolve()
         l1 = ensure_finite(self.lambda1, "lambda1")
         l2 = ensure_finite(self.lambda2, "lambda2")
-        if not (_annulus(l1, eps) and _annulus(l2, eps)):
+        if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
             raise InvalidInputError("eigenvalue moduli must lie strictly inside (0, 1)")
-        if abs(l1) < abs(l2) - eps:
+        if abs(l1) < abs(l2) - resolve():
             raise InvalidInputError("Diagonal expects moduli in descending order")
         object.__setattr__(self, "lambda1", l1)
         object.__setattr__(self, "lambda2", l2)
@@ -74,7 +69,7 @@ class Resonant:
 
     def __post_init__(self) -> None:
         lam = ensure_finite(self.lam, "lam")
-        if not _annulus(lam, resolve()):
+        if not inside_unit(abs(lam)):
             raise InvalidInputError("lam modulus must lie strictly inside (0, 1)")
         if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
             raise InvalidInputError(f"p must be a positive integer, got {self.p!r}")
@@ -88,8 +83,7 @@ def is_contracting(m: Matrix2C) -> bool:
     """Both eigenvalue moduli strictly inside (0, 1), with an eps guard band
     on either end (also excludes non-invertible matrices)."""
     l1, l2, _ = eigen2(m)
-    eps = resolve()
-    return _annulus(l1, eps) and _annulus(l2, eps)
+    return inside_unit(abs(l1)) and inside_unit(abs(l2))
 
 
 def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
@@ -99,21 +93,20 @@ def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
     the single candidate; one closed-form guess plus one complex
     verification decides, capped at p <= 64.
     """
-    eps = resolve()
     lambda_big = ensure_finite(lambda_big, "lambda_big")
     lambda_small = ensure_finite(lambda_small, "lambda_small")
     b, s = abs(lambda_big), abs(lambda_small)
     if not 0.0 < b < 1.0:
         raise InvalidInputError("lambda_big modulus must lie strictly inside (0, 1)")
-    if s <= 0.0 or s > b + eps:
+    if s <= 0.0 or s > b + resolve():
         raise InvalidInputError("expected 0 < |lambda_small| <= |lambda_big|")
-    if abs(b - s) <= eps:
+    if within(b - s):
         candidate = 1
     else:
         candidate = round(math.log(s) / math.log(b))
     if not 1 <= candidate <= RESONANCE_MAX_ORDER:
         return None
-    return candidate if abs(lambda_big**candidate - lambda_small) <= eps else None
+    return candidate if within(lambda_big**candidate - lambda_small) else None
 
 
 def classify(data: ContractionInput) -> HopfClass:
@@ -132,10 +125,9 @@ def classify(data: ContractionInput) -> HopfClass:
             return Diagonal(l1, l2)
         return Resonant(l1, 1)
     if isinstance(data, ResonantForm):
-        eps = resolve()
-        if not _annulus(data.lam, eps):
+        if not inside_unit(abs(data.lam)):
             raise NotContractingError("resonant form requires 0 < |lam| < 1")
-        if abs(data.c) <= eps:
+        if within(data.c):
             big, small = order_by_modulus(data.lam, data.lam**data.p)
             return Diagonal(big, small)
         return Resonant(data.lam, data.p)
@@ -149,13 +141,10 @@ def det_trace(m: Matrix2C) -> tuple[complex, complex]:
 
 
 def class_equal(a: HopfClass, b: HopfClass) -> bool:
-    eps = resolve()
     if isinstance(a, Diagonal) and isinstance(b, Diagonal):
-        return (
-            abs(a.lambda1 - b.lambda1) <= eps and abs(a.lambda2 - b.lambda2) <= eps
-        )
+        return within(a.lambda1 - b.lambda1) and within(a.lambda2 - b.lambda2)
     if isinstance(a, Resonant) and isinstance(b, Resonant):
-        return a.p == b.p and abs(a.lam - b.lam) <= eps
+        return a.p == b.p and within(a.lam - b.lam)
     return False
 
 

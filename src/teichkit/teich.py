@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .algebra import ensure_finite, quadratic_roots
 from .errors import InvalidPointError, SamePointError
 from .hopf import Diagonal, HopfClass, Resonant, resonance_order
-from .tolerance import resolve
+from .tolerance import inside_unit, within
 
 
 def in_base_domain(det: complex, trace: complex) -> bool:
@@ -31,8 +31,7 @@ def in_base_domain(det: complex, trace: complex) -> bool:
     both roots of x**2 - trace*x + det have modulus in (0, 1), tested with
     the usual eps guard band (which also forces det != 0)."""
     r1, r2 = quadratic_roots(det, trace)
-    eps = resolve()
-    return all(eps < abs(r) < 1.0 - eps for r in (r1, r2))
+    return inside_unit(abs(r1)) and inside_unit(abs(r2))
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def twin(x: TeichPoint) -> TeichPoint | None:
         det, trace = _curve_image(x.order, x.lam)
         return BasePoint(det, trace)
     r1, r2 = quadratic_roots(x.det, x.trace)
-    if abs(r1 - r2) <= resolve():
+    if within(r1 - r2):
         return CurvePoint(1, 0.5 * (r1 + r2))
     p = resonance_order(r1, r2)
     if p is not None and p >= 2:
@@ -128,11 +127,10 @@ def twin(x: TeichPoint) -> TeichPoint | None:
 
 
 def points_equal(x: TeichPoint, y: TeichPoint) -> bool:
-    eps = resolve()
     if isinstance(x, BasePoint) and isinstance(y, BasePoint):
-        return abs(x.det - y.det) <= eps and abs(x.trace - y.trace) <= eps
+        return within(x.det - y.det) and within(x.trace - y.trace)
     if isinstance(x, CurvePoint) and isinstance(y, CurvePoint):
-        return x.order == y.order and abs(x.lam - y.lam) <= eps
+        return x.order == y.order and within(x.lam - y.lam)
     return False
 
 
@@ -150,7 +148,7 @@ def separated(x: TeichPoint, y: TeichPoint) -> bool:
     """
     if points_equal(x, y):
         raise SamePointError("separation is asked for two distinct points")
-    return _image_distance(x, y) > resolve()
+    return not within(_image_distance(x, y))
 
 
 def adheres(x: TeichPoint, y: TeichPoint) -> bool:

@@ -1,7 +1,9 @@
-"""One comparison tolerance, carried in a context.
+"""One comparison tolerance, carried in a context, and the one way to compare.
 
-Every approximate comparison in the library reads the tolerance in force
-through :func:`resolve`, so floating noise is handled in one place.  The
+Every approximate decision calls :func:`within` or :func:`inside_unit`, so
+floating noise is handled in one place; only three one-sided margin bounds,
+in ``hopf.Diagonal``, ``hopf.resonance_order`` and
+``tori.reduce_fundamental_domain``, read :func:`resolve` in place.  The
 value lives in a :class:`contextvars.ContextVar` (PEP 567) whose default is
 ``DEFAULT_EPS``.  ``with tolerance(eps):`` puts ``eps`` in force for the
 block, value-object constructors included, and restores the outer value on
@@ -22,12 +24,21 @@ DEFAULT_EPS = 1e-9
 _EPS = contextvars.ContextVar("teichkit_eps", default=DEFAULT_EPS)
 
 
+def checked_eps(eps) -> float:
+    """``eps`` as a float; ValueError unless it is a positive finite real."""
+    try:
+        value = float(eps)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"eps must be a positive finite real, got {eps!r}")
+    return value
+
+
 @contextlib.contextmanager
 def tolerance(eps: float):
     """Compare within ``eps``, a positive finite real, inside the block."""
-    eps = float(eps)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be a positive finite real, got {eps!r}")
+    eps = checked_eps(eps)
     token = _EPS.set(eps)
     try:
         yield eps
@@ -38,6 +49,17 @@ def tolerance(eps: float):
 def resolve() -> float:
     """The tolerance in force."""
     return _EPS.get()
+
+
+def within(x: complex, scale: float = 1.0) -> bool:
+    """Whether ``|x| <= eps * scale``: x is zero at the given scale."""
+    return abs(x) <= resolve() * scale
+
+
+def inside_unit(r: float) -> bool:
+    """Whether the modulus ``r`` lies in the open band (eps, 1 - eps)."""
+    eps = resolve()
+    return eps < r < 1.0 - eps
 
 
 # a second name for the same function; callers read the tolerance in force by it

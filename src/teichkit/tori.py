@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import IntMatrix2, ensure_finite
 from .errors import InvalidInputError, MismatchedFiberError, NotUnimodularError
-from .tolerance import resolve
+from .tolerance import resolve, within
 
 S = IntMatrix2(0, -1, 1, 0)
 T = IntMatrix2(1, 1, 0, 1)
@@ -88,10 +88,9 @@ def tori_equivalent(tau1: complex, tau2: complex) -> IntMatrix2 | None:
     100*eps to absorb the float noise of the two reductions).  The witness
     composes the reductions: A2^-1 . A1.
     """
-    eps = resolve()
     r1, a1 = reduce_fundamental_domain(tau1)
     r2, a2 = reduce_fundamental_domain(tau2)
-    if abs(r1 - r2) <= _EQUIV_SCALE * eps:
+    if within(r1 - r2, _EQUIV_SCALE):
         return a2.inverse() @ a1
     return None
 
@@ -148,7 +147,7 @@ def zero_translation(tau: complex) -> TorusTranslation:
 
 def translation_compose(t1: TorusTranslation, t2: TorusTranslation) -> TorusTranslation:
     """Group law on one fiber: add lattice coordinates mod 1."""
-    if abs(t1.tau - t2.tau) > resolve():
+    if not within(t1.tau - t2.tau):
         raise MismatchedFiberError(
             f"translations live on different fibers: {t1.tau!r} vs {t2.tau!r}"
         )

@@ -1,6 +1,8 @@
 """Twisted group, atlas actions, and the randomized groupoid checker."""
 
 import cmath
+import io
+import json
 import random
 
 import pytest
@@ -28,6 +30,7 @@ from teichkit import (
     z_action,
 )
 from teichkit import atlas
+from teichkit.cli import dispatch
 
 DIAG21 = Matrix2C.diag(2.0, 1.0)
 SHEAR = GroupElement(Matrix2C(1.0, 1.0, 0.0, 1.0), 1.0)
@@ -183,6 +186,20 @@ class TestZAction:
         twice_g, _ = z_action(p, step_g, m, structure)
         joint_g, _ = z_action(p + q, g, m, structure)
         assert g_close(twice_g, joint_g, tol=1e-6)
+
+
+    @pytest.mark.parametrize("p", [9, 10, -10])
+    def test_exact_small_determinant_is_invertible(self, p):
+        # the broken twist of diag(0.5, 0.25) has det 2**(-3p), exact: at
+        # p = 10 that is 2**-30 < 1e-9, which only a relative test accepts
+        argv = [
+            "atlas", "zaction", "--p", str(p), "--structure", "broken",
+            "--g", '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[1,0]}',
+            "--m", '{"a":[[[0.5,0],[0,0]],[[0,0],[0.25,0]]],"t":[0,1]}',
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch(argv, out, err) == 0, err.getvalue()
+        assert json.loads(out.getvalue())["g"]["a"][0][0] == [2.0**-p, 0]
 
 
 class TestSourceTarget:

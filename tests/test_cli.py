@@ -267,6 +267,16 @@ class TestEpsControls:
         assert run(self.ARGS + ["--eps", "-1"])[0] == 2
         assert run(self.ARGS + ["--eps", "nan"])[0] == 2
 
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-1", None), ("nan", None), ("inf", None), (None, "banana")])
+    def test_invalid_eps_is_one_error_line(self, monkeypatch, flag, env):
+        if env is None:
+            monkeypatch.delenv("TEICHKIT_EPS", raising=False)
+        else:
+            monkeypatch.setenv("TEICHKIT_EPS", env)
+        code, out, err = run(self.ARGS + (["--eps", flag] if flag else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: eps must be a positive finite real") and err.count("\n") == 1
+
     def test_default_restored_after_dispatch(self):
         before = default_eps()
         run(self.ARGS + ["--eps", "0.2"])
