@@ -1,35 +1,15 @@
 """Computable models of Hopf surface classification, torus moduli, linear
 torus foliations, and the atlas group of the Teichmueller stack of S3 x S1.
+
+Only ``errors`` and ``tolerance`` are imported with the package.  Every other
+public name, and every submodule attribute such as ``teichkit.hopf``, is
+resolved on first use by the module ``__getattr__`` (PEP 562), which imports
+the defining module and keeps the name.
 """
 
+import sys as _sys
 import types as _types
 
-from .algebra import (
-    IntMatrix2,
-    Matrix2C,
-    arg_unit_interval,
-    eigen2,
-    order_by_modulus,
-    quadratic_roots,
-)
-from .atlas import (
-    AtlasPoint,
-    AtlasStructure,
-    CheckReport,
-    GroupElement,
-    LawResult,
-    broken_structure,
-    g_identity,
-    g_inverse,
-    g_mul,
-    g_power,
-    groupoid_check,
-    source,
-    structure_by_name,
-    target,
-    trivial_structure,
-    z_action,
-)
 from .errors import (
     InvalidInputError,
     InvalidPointError,
@@ -42,74 +22,92 @@ from .errors import (
     SingularMatrixError,
     TeichkitError,
 )
-from .foliation import (
-    Circle,
-    ClosedLeaf,
-    ContinuedFraction,
-    DenseLine,
-    LeafDescriptor,
-    LeafSpace,
-    NonHausdorffQuotient,
-    Slope,
-    cf_expand,
-    leaf_descriptor,
-    leaf_space,
-    morita_equivalent,
-    rotation_orbit,
-)
-from .hopf import (
-    RESONANCE_MAX_ORDER,
-    ContractionInput,
-    Diagonal,
-    HopfClass,
-    Resonant,
-    ResonantForm,
-    biholomorphic,
-    class_equal,
-    classify,
-    det_trace,
-    is_contracting,
-    resonance_order,
-)
-from .surd import (
-    QuadraticIrrational,
-    continued_fraction_expansion,
-    moebius_surd,
-    periodic_state_keys,
-)
-from .teich import (
-    BasePoint,
-    CurvePoint,
-    TeichPoint,
-    adheres,
-    class_of_point,
-    image,
-    in_base_domain,
-    neighborhood_contains,
-    point_of_class,
-    points_equal,
-    separated,
-    twin,
-)
-from .fixtures import run_fixtures
-from .jsonio import SchemaError, canonical_dumps
 from .tolerance import DEFAULT_EPS, default_eps, tolerance
-from .tori import (
-    S,
-    T,
-    TorusTranslation,
-    lattice_reduce,
-    moebius,
-    reduce_fundamental_domain,
-    tori_equivalent,
-    translation_compose,
-    translation_matrix,
-    zero_translation,
-)
 
 __version__ = "0.1.0"
 
-# every public name bound above, except the submodules the imports bind
+# the public names of every other module, imported on first use
+_LAZY = {
+    "algebra": ("IntMatrix2", "Matrix2C", "arg_unit_interval", "eigen2", "order_by_modulus", "quadratic_roots"),
+    "atlas": (
+        "AtlasPoint", "AtlasStructure", "CheckReport", "GroupElement", "LawResult", "broken_structure",
+        "g_identity", "g_inverse", "g_mul", "g_power", "groupoid_check", "source", "structure_by_name",
+        "target", "trivial_structure", "z_action",
+    ),
+    "foliation": (
+        "Circle", "ClosedLeaf", "ContinuedFraction", "DenseLine", "LeafDescriptor", "LeafSpace",
+        "NonHausdorffQuotient", "Slope", "cf_expand", "leaf_descriptor", "leaf_space", "morita_equivalent",
+        "rotation_orbit",
+    ),
+    "hopf": (
+        "RESONANCE_MAX_ORDER", "ContractionInput", "Diagonal", "HopfClass", "Resonant", "ResonantForm",
+        "biholomorphic", "class_equal", "classify", "det_trace", "is_contracting", "resonance_order",
+    ),
+    "surd": ("QuadraticIrrational", "continued_fraction_expansion", "moebius_surd", "periodic_state_keys"),
+    "teich": (
+        "BasePoint", "CurvePoint", "TeichPoint", "adheres", "class_of_point", "image", "in_base_domain",
+        "neighborhood_contains", "point_of_class", "points_equal", "separated", "twin",
+    ),
+    "fixtures": ("run_fixtures",),
+    "jsonio": ("SchemaError", "canonical_dumps"),
+    "tori": (
+        "S", "T", "TorusTranslation", "lattice_reduce", "moebius", "reduce_fundamental_domain", "tori_equivalent",
+        "translation_compose", "translation_matrix", "zero_translation",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+# every public name: those bound above, except the submodules, and the lazy ones
 __all__ = sorted(
-    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
+    + list(_HOME)
 )
+
+
+def _load(module: str) -> _types.ModuleType:
+    """The submodule ``module``, imported on the import statement's path.
+
+    ``importlib.import_module`` and ``from . import`` would load it unseen by
+    ``-X importtime``; the dotted ``__import__`` is what ``import a.b`` runs.
+    """
+    name = f"{__name__}.{module}"
+    __import__(name)
+    return _sys.modules[name]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        if name not in _LAZY:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        return _load(name)  # importing a submodule binds it here as well
+    value = getattr(_load(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Deferred:
+    """Stands in for the submodule ``name`` as a global of a teichkit module.
+
+    The first attribute read imports the submodule and rebinds the global to
+    it, so every later read is a plain global lookup.  ``cli`` and ``jsonio``
+    bind their kernel modules this way.
+    """
+
+    def __init__(self, namespace: dict, name: str) -> None:
+        self._namespace = namespace
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = _load(self._name)
+        self._namespace[self._name] = module
+        return getattr(module, attr)
+
+
+def _defer(namespace: dict, *names: str) -> tuple:
+    """One :class:`_Deferred` per submodule name, to bind in ``namespace``."""
+    return tuple(_Deferred(namespace, name) for name in names)

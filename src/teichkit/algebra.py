@@ -23,7 +23,10 @@ _TWO_PI = 2.0 * math.pi
 
 
 def ensure_finite(z: complex, what: str = "value") -> complex:
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError, OverflowError) as exc:  # not a number, or an int past float range
+        raise InvalidInputError(f"{what} must be a finite number: {exc}") from None
     if not cmath.isfinite(z):
         raise InvalidInputError(f"{what} must be finite, got {z!r}")
     return z

@@ -18,11 +18,19 @@ tolerance block, so that schema and domain errors keep their exit codes;
 library and jsonio functions are looked up when called, never captured when
 the table is built.
 
-The argparse parser is built once per process, on the first dispatch, and
-reused: parse_args keeps no state between calls and returns a fresh
-namespace each time.  Everything that can differ between calls is still
-read per call: --eps and TEICHKIT_EPS, the terminal width used for help
-text, and the stdout/stderr redirection.
+A command imports only what it uses.  The kernel modules are bound here as
+stand-ins (teichkit._Deferred) that import the module the first time a row
+reads from it, and then become the module itself; jsonio does the same for
+the value types it decodes.  So ``teichkit alg idet`` imports algebra and no
+other kernel module.
+
+The argparse parser is built once per process and reused: parse_args keeps
+no state between calls and returns a fresh namespace each time.  The first
+dispatch builds the root parser and the group parsers; a group's verb
+parsers are added once, on the first dispatch whose argv has a token naming
+that group.  Everything that can differ between calls is still read per
+call: --eps and TEICHKIT_EPS, the terminal width used for help text, and the
+stdout/stderr redirection.
 """
 
 from __future__ import annotations
@@ -32,10 +40,10 @@ import contextlib
 import functools
 import os
 import sys
-from fractions import Fraction
+import threading
 from typing import Any, Callable, NamedTuple
 
-from . import algebra, atlas, foliation, hopf, teich, tori
+from . import _defer
 from .errors import InvalidInputError, TeichkitError
 from .jsonio import (
     SchemaError,
@@ -61,6 +69,11 @@ from .tolerance import checked_eps, resolve, tolerance
 
 _ENV_EPS = "TEICHKIT_EPS"
 
+# bound to the modules themselves on first use; see teichkit._Deferred
+algebra, atlas, foliation, hopf, teich, tori = _defer(
+    globals(), "algebra", "atlas", "foliation", "hopf", "teich", "tori"
+)
+
 
 def main(argv: list[str] | None = None) -> int:
     return dispatch(sys.argv[1:] if argv is None else argv)
@@ -70,10 +83,14 @@ def dispatch(argv, out=None, err=None) -> int:
     """Run one command; print its JSON to `out`. Returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
+    argv = list(argv)
+    parser, pending = _build_parser()
+    for token in argv:
+        if token in pending:  # a group whose verbs are not in the parser yet
+            _add_verbs(token, pending)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = parser.parse_args(list(argv))
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
 
@@ -138,6 +155,8 @@ def _slope(raw, label) -> foliation.Slope:
     stripped = raw.strip()
     if stripped.startswith("{"):
         return dec_surd(loads_strict(stripped, label), label)
+    from fractions import Fraction
+
     try:
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
@@ -414,15 +433,9 @@ VERBS = (
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--eps",
-        type=float,
-        default=argparse.SUPPRESS,
-        help="tolerance override for approximate comparisons",
-    )
-
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The root parser and its group parsers, without verbs, and a dict of
+    every group whose verbs are not added yet, mapped to its verb subparsers."""
     parser = argparse.ArgumentParser(
         prog="teichkit",
         description="Hopf surface classification, torus moduli, torus foliations, "
@@ -430,19 +443,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--eps", type=float, default=None, help="tolerance override")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-    verbs = {}
+    pending = {}
     for name, help_text in GROUPS.items():
         group = groups.add_parser(name, help=help_text)
         group.set_defaults(group_parser=group)
-        verbs[name] = group.add_subparsers(dest="verb", metavar="VERB")
-    for verb in VERBS:
-        p = verbs[verb.group].add_parser(verb.name, parents=[shared], help=verb.help)
-        p.set_defaults(command=verb)
-        target = p.add_mutually_exclusive_group(required=True) if verb.one_of else p
-        for flag in verb.flags:
-            required = not verb.one_of and "default" not in flag.options
-            target.add_argument(f"--{flag.name}", required=required, **flag.options)
-    return parser
+        pending[name] = group.add_subparsers(dest="verb", metavar="VERB")
+    return parser, pending
+
+
+_ADDING = threading.Lock()
+
+
+def _add_verbs(group: str, pending: dict) -> None:
+    """Add a parser for each verb of `group`, unless an earlier dispatch did."""
+    with _ADDING:
+        verbs = pending.get(group)
+        if verbs is None:
+            return
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(
+            "--eps",
+            type=float,
+            default=argparse.SUPPRESS,
+            help="tolerance override for approximate comparisons",
+        )
+        for verb in VERBS:
+            if verb.group != group:
+                continue
+            p = verbs.add_parser(verb.name, parents=[shared], help=verb.help)
+            p.set_defaults(command=verb)
+            target = p.add_mutually_exclusive_group(required=True) if verb.one_of else p
+            for flag in verb.flags:
+                required = not verb.one_of and "default" not in flag.options
+                target.add_argument(f"--{flag.name}", required=required, **flag.options)
+        del pending[group]  # only now: a concurrent dispatch that saw it pending waits above
 
 
 if __name__ == "__main__":

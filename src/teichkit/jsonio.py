@@ -10,19 +10,21 @@ exceptions.
 Encodings: complex as [re, im]; 2x2 complex matrices as row-major pairs of
 such entries; integer matrices as plain integer rows; rationals as the
 string "num/den"; quadratic surds (p + sqrt(d))/q as {"p":..,"q":..,"d":..}.
+
+Importing this module imports no kernel module.  A decoder or encoder reads
+its value types from their module (``algebra.Matrix2C``, ``teich.BasePoint``
+and so on), and that module is imported the first time one of them runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
-from .algebra import IntMatrix2, Matrix2C
-from .atlas import AtlasPoint, GroupElement
-from .hopf import Diagonal, HopfClass, Resonant, ResonantForm
-from .surd import QuadraticIrrational
-from .teich import BasePoint, CurvePoint, TeichPoint
+from . import _defer
+
+# bound to the modules themselves on first use; see teichkit._Deferred
+algebra, atlas, hopf, surd, teich = _defer(globals(), "algebra", "atlas", "hopf", "surd", "teich")
 
 
 class SchemaError(ValueError):
@@ -114,14 +116,14 @@ def dec_complex(v, what: str = "complex value") -> complex:
     return complex(_real(v[0], f"{what} real part"), _real(v[1], f"{what} imaginary part"))
 
 
-def enc_matrix2c(m: Matrix2C) -> list:
+def enc_matrix2c(m: algebra.Matrix2C) -> list:
     return [[enc_complex(m.a), enc_complex(m.b)], [enc_complex(m.c), enc_complex(m.d)]]
 
 
-def dec_matrix2c(v, what: str = "matrix") -> Matrix2C:
+def dec_matrix2c(v, what: str = "matrix") -> algebra.Matrix2C:
     if not isinstance(v, list) or len(v) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in v):
         raise SchemaError(f"{what} must be a 2x2 row-major array, got {v!r}")
-    return Matrix2C(
+    return algebra.Matrix2C(
         dec_complex(v[0][0], f"{what}[0][0]"),
         dec_complex(v[0][1], f"{what}[0][1]"),
         dec_complex(v[1][0], f"{what}[1][0]"),
@@ -129,14 +131,14 @@ def dec_matrix2c(v, what: str = "matrix") -> Matrix2C:
     )
 
 
-def enc_int_matrix(m: IntMatrix2) -> list:
+def enc_int_matrix(m: algebra.IntMatrix2) -> list:
     return [[m.a, m.b], [m.c, m.d]]
 
 
-def dec_int_matrix(v, what: str = "integer matrix") -> IntMatrix2:
+def dec_int_matrix(v, what: str = "integer matrix") -> algebra.IntMatrix2:
     if not isinstance(v, list) or len(v) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in v):
         raise SchemaError(f"{what} must be a 2x2 row-major array, got {v!r}")
-    return IntMatrix2(
+    return algebra.IntMatrix2(
         _int(v[0][0], f"{what}[0][0]"),
         _int(v[0][1], f"{what}[0][1]"),
         _int(v[1][0], f"{what}[1][0]"),
@@ -144,29 +146,30 @@ def dec_int_matrix(v, what: str = "integer matrix") -> IntMatrix2:
     )
 
 
-def enc_rational(value: Fraction) -> str:
+def enc_rational(value) -> str:
+    """A fractions.Fraction as "num/den"."""
     return f"{value.numerator}/{value.denominator}"
 
 
-def enc_surd(x: QuadraticIrrational) -> dict:
+def enc_surd(x: surd.QuadraticIrrational) -> dict:
     return {"p": x.p, "q": x.q, "d": x.d}
 
 
-def dec_surd(v, what: str = "quadratic irrational") -> QuadraticIrrational:
+def dec_surd(v, what: str = "quadratic irrational") -> surd.QuadraticIrrational:
     if not isinstance(v, dict) or set(v) != {"p", "q", "d"}:
         raise SchemaError(f'{what} must be an object with keys "p", "q", "d", got {v!r}')
-    return QuadraticIrrational(_int(v["p"], f"{what} p"), _int(v["q"], f"{what} q"), _int(v["d"], f"{what} d"))
+    return surd.QuadraticIrrational(_int(v["p"], f"{what} p"), _int(v["q"], f"{what} q"), _int(v["d"], f"{what} d"))
 
 
-def enc_teich_point(x: TeichPoint) -> dict:
-    if isinstance(x, BasePoint):
+def enc_teich_point(x: teich.TeichPoint) -> dict:
+    if isinstance(x, teich.BasePoint):
         return {"stratum": "base", "params": [enc_complex(x.det), enc_complex(x.trace)]}
     if x.order == 1:
         return {"stratum": "c", "params": [enc_complex(x.lam)]}
     return {"stratum": "cp", "p": x.order, "params": [enc_complex(x.lam)]}
 
 
-def dec_teich_point(v, what: str = "point") -> TeichPoint:
+def dec_teich_point(v, what: str = "point") -> teich.TeichPoint:
     if not isinstance(v, dict) or "stratum" not in v:
         raise SchemaError(f'{what} must be an object with a "stratum" key, got {v!r}')
     stratum = v["stratum"]
@@ -176,28 +179,28 @@ def dec_teich_point(v, what: str = "point") -> TeichPoint:
     if stratum == "base":
         if len(params) != 2:
             raise SchemaError(f"{what}: base stratum needs [det, trace] params")
-        return BasePoint(dec_complex(params[0], f"{what} det"), dec_complex(params[1], f"{what} trace"))
+        return teich.BasePoint(dec_complex(params[0], f"{what} det"), dec_complex(params[1], f"{what} trace"))
     if stratum == "c":
         if len(params) != 1:
             raise SchemaError(f"{what}: stratum c needs a single [lambda] param")
-        return CurvePoint(1, dec_complex(params[0], f"{what} lambda"))
+        return teich.CurvePoint(1, dec_complex(params[0], f"{what} lambda"))
     if stratum == "cp":
         if len(params) != 1:
             raise SchemaError(f"{what}: stratum cp needs a single [lambda] param")
         p = _int(v.get("p"), f"{what} p")
         if p < 2:
             raise SchemaError(f"{what}: stratum cp needs p >= 2, got {p}")
-        return CurvePoint(p, dec_complex(params[0], f"{what} lambda"))
+        return teich.CurvePoint(p, dec_complex(params[0], f"{what} lambda"))
     raise SchemaError(f"{what}: unknown stratum {stratum!r}")
 
 
-def enc_hopf_class(c: HopfClass) -> dict:
-    if isinstance(c, Diagonal):
+def enc_hopf_class(c: hopf.HopfClass) -> dict:
+    if isinstance(c, hopf.Diagonal):
         return {"class": "diagonal", "lambda1": enc_complex(c.lambda1), "lambda2": enc_complex(c.lambda2)}
     return {"class": "resonant", "lambda": enc_complex(c.lam), "p": c.p}
 
 
-def dec_hopf_class(v, what: str = "class") -> HopfClass:
+def dec_hopf_class(v, what: str = "class") -> hopf.HopfClass:
     # extra keys (e.g. the det_trace echoed by `hopf classify`) are ignored
     # so classification output can be piped straight back in
     if not isinstance(v, dict) or "class" not in v:
@@ -206,40 +209,40 @@ def dec_hopf_class(v, what: str = "class") -> HopfClass:
     if kind == "diagonal":
         if "lambda1" not in v or "lambda2" not in v:
             raise SchemaError(f'{what}: diagonal class needs "lambda1" and "lambda2"')
-        return Diagonal(dec_complex(v["lambda1"], f"{what} lambda1"), dec_complex(v["lambda2"], f"{what} lambda2"))
+        return hopf.Diagonal(dec_complex(v["lambda1"], f"{what} lambda1"), dec_complex(v["lambda2"], f"{what} lambda2"))
     if kind == "resonant":
         if "lambda" not in v or "p" not in v:
             raise SchemaError(f'{what}: resonant class needs "lambda" and "p"')
-        return Resonant(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"))
+        return hopf.Resonant(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"))
     raise SchemaError(f"{what}: unknown class {kind!r}")
 
 
-def dec_contraction(v, what: str = "contraction") -> Matrix2C | ResonantForm:
+def dec_contraction(v, what: str = "contraction") -> algebra.Matrix2C | hopf.ResonantForm:
     if isinstance(v, list):
         return dec_matrix2c(v, what)
     if isinstance(v, dict):
         if "lambda" not in v or "p" not in v:
             raise SchemaError(f'{what} object needs "lambda" and "p" (and optional "c")')
         c = dec_complex(v["c"], f"{what} c") if "c" in v else 1.0 + 0j
-        return ResonantForm(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"), c)
+        return hopf.ResonantForm(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"), c)
     raise SchemaError(f"{what} must be a matrix array or a resonant-form object, got {v!r}")
 
 
-def enc_group_element(g: GroupElement) -> dict:
+def enc_group_element(g: atlas.GroupElement) -> dict:
     return {"a": enc_matrix2c(g.a), "t": enc_complex(g.t)}
 
 
-def dec_group_element(v, what: str = "group element") -> GroupElement:
+def dec_group_element(v, what: str = "group element") -> atlas.GroupElement:
     if not isinstance(v, dict) or set(v) != {"a", "t"}:
         raise SchemaError(f'{what} must be an object with keys "a" and "t", got {v!r}')
-    return GroupElement(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))
+    return atlas.GroupElement(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))
 
 
-def enc_atlas_point(m: AtlasPoint) -> dict:
+def enc_atlas_point(m: atlas.AtlasPoint) -> dict:
     return {"a": enc_matrix2c(m.a), "t": enc_complex(m.t)}
 
 
-def dec_atlas_point(v, what: str = "atlas point") -> AtlasPoint:
+def dec_atlas_point(v, what: str = "atlas point") -> atlas.AtlasPoint:
     if not isinstance(v, dict) or set(v) != {"a", "t"}:
         raise SchemaError(f'{what} must be an object with keys "a" and "t", got {v!r}')
-    return AtlasPoint(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))
+    return atlas.AtlasPoint(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))

@@ -148,6 +148,28 @@ class TestMatrix2C:
             Matrix2C(*entries)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (float("inf"), "x", 0, 0),
+            ("x", float("inf"), 0, 0),
+            (0, float("nan"), "y", None),
+            (0, 0, 0, complex(1, float("inf"))),
+            (10**400, 0, 0, 0),
+            (0, 10**400, float("inf"), 0),
+            (None, 0, 0, 0),
+            (1, 2, 3, [4]),
+        ],
+    )
+    def test_bad_entry_is_invalid_input(self, entries):
+        with pytest.raises(InvalidInputError):
+            Matrix2C(*entries)
+
+    @pytest.mark.parametrize("value", [None, "x", [4], 10**400])
+    def test_ensure_finite_rejects_non_numbers_typed(self, value):
+        with pytest.raises(InvalidInputError, match="^v must be a finite number: "):
+            ensure_finite(value, "v")
+
     def test_overflowing_product_is_rejected(self):
         big = Matrix2C(1e200, 0.0, 0.0, 1.0)
         with pytest.raises(InvalidInputError, match="a must be finite"):
