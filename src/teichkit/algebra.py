@@ -8,13 +8,15 @@ classification downstream:
   by ascending argument in [0, 2*pi);
 * integer matrices are exact end to end, there is no floating fallback for
   unimodular logic.
+
+Every value type of the package derives from :class:`Value`, defined here
+because every kernel module imports this one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInputError, NotUnimodularError, SingularMatrixError
 from .tolerance import within
@@ -22,10 +24,68 @@ from .tolerance import within
 _TWO_PI = 2.0 * math.pi
 
 
+class Value:
+    """Immutable value object: a frozen record of the annotated fields.
+
+    The fields are the class annotations, in declaration order, after those
+    of the base classes.  Each
+    subclass's ``__init__`` validates its arguments and stores every field
+    once, in that order, with ``self.__dict__.update``; after that, setting
+    or deleting any attribute raises ``AttributeError``.  Equality compares
+    the fields of two instances of the same class (any other operand gives
+    ``NotImplemented``), the hash is that of the field tuple, and the repr is
+    ``Name(field=value!r, ...)``.  Instances keep a plain ``__dict__``, so
+    ``copy``, ``deepcopy`` and ``pickle`` restore them without calling
+    ``__init__`` or ``__setattr__``.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(dict.fromkeys((*cls._fields, *cls.__annotations__)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        values = self.__dict__
+        return tuple([values[name] for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# exact types whose complex() is a number; any other argument is checked first
+_EXACT_NUMBERS = frozenset((int, float, complex))
+
+
 def ensure_finite(z: complex, what: str = "value") -> complex:
+    """z as a finite complex; anything else raises InvalidInputError.
+
+    A number is an ``int``, ``float`` or ``complex``, or any other
+    ``numbers.Complex`` except ``bool``: numeric strings are refused.
+    """
+    if type(z) not in _EXACT_NUMBERS:
+        import numbers  # only arguments of other types pay for this import
+
+        if isinstance(z, bool) or not isinstance(z, numbers.Complex):
+            raise InvalidInputError(f"{what} must be a finite number: got {type(z).__name__}")
     try:
         z = complex(z)
-    except (TypeError, ValueError, OverflowError) as exc:  # not a number, or an int past float range
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past float range, or the like
         raise InvalidInputError(f"{what} must be a finite number: {exc}") from None
     if not cmath.isfinite(z):
         raise InvalidInputError(f"{what} must be finite, got {z!r}")
@@ -51,6 +111,9 @@ def quadratic_roots(d: complex, t: complex) -> tuple[complex, complex]:
 
     Cancellation safe: the dominant root comes from the stable branch of the
     quadratic formula (sqrt aligned with t), the other from the product d.
+    Overflow safe: where t*t or 4*d overflows, the dominant root is found on
+    a rescaled equation.  A root too large to represent raises
+    InvalidInputError.
     """
     d = ensure_finite(d, "d")
     t = ensure_finite(t, "t")
@@ -58,12 +121,35 @@ def quadratic_roots(d: complex, t: complex) -> tuple[complex, complex]:
     if t.real * u.real + t.imag * u.imag < 0.0:
         u = -u
     big = 0.5 * (t + u)
+    if not cmath.isfinite(big):  # t*t, 4*d or t + u overflowed
+        big = _scaled_big_root(d, t)
     small = d / big if big != 0 else 0.5 * (t - u)
     return order_by_modulus(big, small)
 
 
-@dataclass(frozen=True, init=False)
-class Matrix2C:
+def _scaled_big_root(d: complex, t: complex) -> complex:
+    """The dominant root of x**2 - t*x + d, for coefficients so large that
+    the plain discriminant overflows.
+
+    x = s*y, where s is the largest of |Re t|, |Im t|, sqrt|Re d| and
+    sqrt|Im d|, and y solves y**2 - (t/s)*y + d/s**2 = 0, whose coefficients
+    are at most 2 in modulus.
+    """
+    s = max(abs(t.real), abs(t.imag), math.sqrt(abs(d.real)), math.sqrt(abs(d.imag)))
+    ts = t / s
+    u = cmath.sqrt(ts * ts - 4.0 * (d / s / s))
+    if ts.real * u.real + ts.imag * u.imag < 0.0:
+        u = -u
+    big = s * (0.5 * (ts + u))
+    try:
+        if math.isfinite(abs(big)):
+            return big
+    except OverflowError:  # finite parts whose modulus is past float range
+        pass
+    raise InvalidInputError(f"a root of x**2 - t*x + d is too large to represent, d={d!r}, t={t!r}")
+
+
+class Matrix2C(Value):
     """2x2 complex matrix [[a, b], [c, d]] with finite entries."""
 
     a: complex
@@ -73,22 +159,21 @@ class Matrix2C:
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
         # Every matrix, products included, is checked here: finite entries
-        # can multiply to inf.  All four entries are converted and tested in
-        # one pass; only an invalid matrix takes the per-entry loop, which
-        # raises the error for the first bad entry in a, b, c, d order.
-        try:
-            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d):
-                object.__setattr__(self, "a", a)
-                object.__setattr__(self, "b", b)
-                object.__setattr__(self, "c", c)
-                object.__setattr__(self, "d", d)
-                return
-        for name, value in zip("abcd", (a, b, c, d)):
-            object.__setattr__(self, name, ensure_finite(value, name))
+        # can multiply to inf.  Four entries of exact number types are
+        # converted and tested in one pass; only any other matrix takes the
+        # per-entry path, which raises the error for the first bad entry in
+        # a, b, c, d order.
+        exact, valid = _EXACT_NUMBERS, False
+        if type(a) in exact and type(b) in exact and type(c) in exact and type(d) in exact:
+            try:
+                a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+            except OverflowError:  # an int past float range
+                pass
+            else:
+                valid = cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)
+        if not valid:
+            a, b, c, d = (ensure_finite(value, name) for name, value in zip("abcd", (a, b, c, d)))
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @staticmethod
     def identity() -> "Matrix2C":
@@ -150,8 +235,7 @@ def _ensure_int(v: int, name: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(Value):
     """2x2 integer matrix [[a, b], [c, d]], exact arithmetic only."""
 
     a: int
@@ -159,9 +243,8 @@ class IntMatrix2:
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            _ensure_int(getattr(self, name), name)
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        self.__dict__.update(a=_ensure_int(a, "a"), b=_ensure_int(b, "b"), c=_ensure_int(c, "c"), d=_ensure_int(d, "d"))
 
     @staticmethod
     def identity() -> "IntMatrix2":

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import Matrix2C, ensure_finite
+from .algebra import Matrix2C, Value, ensure_finite
 from .errors import (
     InvalidInputError,
     LimitExceededError,
@@ -36,35 +35,33 @@ from .tolerance import within
 MAX_CHECK_SAMPLES = 100_000  # largest sample count groupoid_check accepts
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value):
     """Element (a, t) of the twisted group GL2(C) x C."""
 
     a: Matrix2C
     t: complex
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Matrix2C):
-            raise InvalidInputError(f"matrix part must be Matrix2C, got {type(self.a).__name__}")
-        ad, bc = self.a.a * self.a.d, self.a.b * self.a.c
+    def __init__(self, a: Matrix2C, t: complex) -> None:
+        if not isinstance(a, Matrix2C):
+            raise InvalidInputError(f"matrix part must be Matrix2C, got {type(a).__name__}")
+        ad, bc = a.a * a.d, a.b * a.c
         if within(ad - bc, abs(ad) + abs(bc)):
             raise SingularMatrixError(f"group element needs an invertible matrix, det = {ad - bc!r}")
-        object.__setattr__(self, "t", ensure_finite(self.t, "t"))
+        self.__dict__.update(a=a, t=ensure_finite(t, "t"))
 
 
-@dataclass(frozen=True)
-class AtlasPoint:
+class AtlasPoint(Value):
     """Point (a, t) of the atlas base: a contracting, t arbitrary."""
 
     a: Matrix2C
     t: complex
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, Matrix2C):
-            raise InvalidInputError(f"matrix part must be Matrix2C, got {type(self.a).__name__}")
-        if not is_contracting(self.a):
-            raise NotContractingError(f"atlas point needs a contracting matrix, got {self.a!r}")
-        object.__setattr__(self, "t", ensure_finite(self.t, "t"))
+    def __init__(self, a: Matrix2C, t: complex) -> None:
+        if not isinstance(a, Matrix2C):
+            raise InvalidInputError(f"matrix part must be Matrix2C, got {type(a).__name__}")
+        if not is_contracting(a):
+            raise NotContractingError(f"atlas point needs a contracting matrix, got {a!r}")
+        self.__dict__.update(a=a, t=ensure_finite(t, "t"))
 
 
 def g_identity() -> GroupElement:
@@ -102,14 +99,16 @@ def g_power(x: GroupElement, p: int) -> GroupElement:
     return acc
 
 
-@dataclass(frozen=True)
-class AtlasStructure:
+class AtlasStructure(Value):
     """Caller-supplied action and injection making (G x M)/Z a groupoid
     candidate; validated by groupoid_check, never assumed."""
 
     name: str
     action: Callable[[AtlasPoint, GroupElement], AtlasPoint]
     injection: Callable[[AtlasPoint], GroupElement]
+
+    def __init__(self, name: str, action: Callable, injection: Callable) -> None:
+        self.__dict__.update(name=name, action=action, injection=injection)
 
 
 def trivial_structure() -> AtlasStructure:
@@ -166,24 +165,28 @@ def target(g: GroupElement, m: AtlasPoint, structure: AtlasStructure) -> AtlasPo
     return structure.action(m, g)
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(Value):
     name: str
     checked: int
     failures: int
     counterexample: dict | None
+
+    def __init__(self, name: str, checked: int, failures: int, counterexample: dict | None) -> None:
+        self.__dict__.update(name=name, checked=checked, failures=failures, counterexample=counterexample)
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     structure: str
     samples: int
     seed: int
     laws: tuple[LawResult, ...]
+
+    def __init__(self, structure: str, samples: int, seed: int, laws: tuple[LawResult, ...]) -> None:
+        self.__dict__.update(structure=structure, samples=samples, seed=seed, laws=laws)
 
     @property
     def passed(self) -> bool:

@@ -30,17 +30,20 @@ dispatch builds the root parser and the group parsers; a group's verb
 parsers are added once, on the first dispatch whose argv has a token naming
 that group.  Everything that can differ between calls is still read per
 call: --eps and TEICHKIT_EPS, the terminal width used for help text, and the
-stdout/stderr redirection.
+streams that help, usage and argparse errors go to.  Those are the call's
+own `out` and `err`, held in a context variable while argparse runs, so
+dispatch never swaps the process-wide sys.stdout or sys.stderr, and
+concurrent calls in several threads each write only to their own streams.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
 import threading
+from contextvars import ContextVar
 from typing import Any, Callable, NamedTuple
 
 from . import _defer
@@ -88,11 +91,13 @@ def dispatch(argv, out=None, err=None) -> int:
     for token in argv:
         if token in pending:  # a group whose verbs are not in the parser yet
             _add_verbs(token, pending)
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    streams = _STREAMS.set((out, err))
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    finally:
+        _STREAMS.reset(streams)
 
     verb = getattr(args, "command", None)
     if verb is None:  # no group, or a group without a verb: that parser's usage
@@ -431,12 +436,31 @@ VERBS = (
 
 # ------------------------------------------------------------------ parser
 
+# (out, err) of the dispatch whose parse_args is running in this context
+_STREAMS: ContextVar[tuple] = ContextVar("teichkit_cli_streams")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes to the calling dispatch's streams.
+
+    argparse hands every message it prints to _print_message, with
+    sys.stdout for help and sys.stderr for usage and errors; inside
+    dispatch those stand for the call's `out` and `err`.  Subparsers are
+    made of the same class.
+    """
+
+    def _print_message(self, message: str, file=None) -> None:
+        streams = _STREAMS.get(None)
+        if streams is not None:
+            file = streams[0] if file is sys.stdout else streams[1]
+        super()._print_message(message, file)
+
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The root parser and its group parsers, without verbs, and a dict of
     every group whose verbs are not added yet, mapped to its verb subparsers."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teichkit",
         description="Hopf surface classification, torus moduli, torus foliations, "
         "and the atlas group of S3 x S1, with JSON output.",

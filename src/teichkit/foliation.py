@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ensure_finite
+from .algebra import Value, ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotOnCircleError
 from .surd import QuadraticIrrational, continued_fraction_expansion, periodic_state_keys
 from .tolerance import within
@@ -35,8 +34,7 @@ def _require_slope(alpha: Slope, what: str) -> Slope:
     return alpha
 
 
-@dataclass(frozen=True)
-class ClosedLeaf:
+class ClosedLeaf(Value):
     """Closed leaf winding `vertical` times around one factor and
     `horizontal` times around the other (slope vertical/horizontal in
     lowest terms)."""
@@ -44,36 +42,34 @@ class ClosedLeaf:
     vertical: int
     horizontal: int
 
-    def __post_init__(self) -> None:
-        if self.horizontal < 1 or math.gcd(self.vertical, self.horizontal) != 1:
+    def __init__(self, vertical: int, horizontal: int) -> None:
+        if horizontal < 1 or math.gcd(vertical, horizontal) != 1:
             raise InvalidInputError(
-                f"closed leaf needs coprime winding with horizontal >= 1, "
-                f"got ({self.vertical}, {self.horizontal})"
+                f"closed leaf needs coprime winding with horizontal >= 1, got ({vertical}, {horizontal})"
             )
+        self.__dict__.update(vertical=vertical, horizontal=horizontal)
 
 
-@dataclass(frozen=True)
-class DenseLine:
+class DenseLine(Value):
     """Leaf diffeomorphic to the real line, dense in the torus."""
 
 
 LeafDescriptor = ClosedLeaf | DenseLine
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Value):
     """Circle leaf space; deck_order is the denominator of the slope, the
     number of times each leaf meets a vertical transversal."""
 
     deck_order: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.deck_order, int) or isinstance(self.deck_order, bool) or self.deck_order < 1:
-            raise InvalidInputError(f"deck_order must be a positive integer, got {self.deck_order!r}")
+    def __init__(self, deck_order: int) -> None:
+        if not isinstance(deck_order, int) or isinstance(deck_order, bool) or deck_order < 1:
+            raise InvalidInputError(f"deck_order must be a positive integer, got {deck_order!r}")
+        self.__dict__.update(deck_order=deck_order)
 
 
-@dataclass(frozen=True)
-class NonHausdorffQuotient:
+class NonHausdorffQuotient(Value):
     """Leaf space of a dense foliation: every nonempty open set is the
     whole quotient."""
 
@@ -81,8 +77,7 @@ class NonHausdorffQuotient:
 LeafSpace = Circle | NonHausdorffQuotient
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(Value):
     """Continued fraction [a0; a1, a2, ...] split into a finite preperiod
     and a (possibly empty) repeating period.  Rationals have an empty
     period; quadratic irrationals never do."""
@@ -90,8 +85,9 @@ class ContinuedFraction:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        quotients = tuple(self.preperiod) + tuple(self.period)
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
+        preperiod, period = tuple(preperiod), tuple(period)
+        quotients = preperiod + period
         if not quotients:
             raise InvalidInputError("continued fraction needs at least one partial quotient")
         for i, a in enumerate(quotients):
@@ -99,11 +95,10 @@ class ContinuedFraction:
                 raise InvalidInputError(f"partial quotients must be integers, got {a!r}")
             if i > 0 and a < 1:
                 raise InvalidInputError(f"partial quotient #{i} must be >= 1, got {a}")
-        for a in self.period:
+        for a in period:
             if a < 1:
                 raise InvalidInputError(f"period quotients must be >= 1, got {a}")
-        object.__setattr__(self, "preperiod", tuple(self.preperiod))
-        object.__setattr__(self, "period", tuple(self.period))
+        self.__dict__.update(preperiod=preperiod, period=period)
 
     def value(self, terms: int = 40) -> float:
         """Float value of the expansion truncated to at most `terms`
@@ -150,7 +145,7 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
         raise InvalidInputError(f"max_points must be a positive integer, got {max_points!r}")
     if max_points > MAX_ORBIT_POINTS:
         raise LimitExceededError(f"max_points must be at most {MAX_ORBIT_POINTS}, got {max_points}")
-    z0 = ensure_finite(complex(z0), "z0")
+    z0 = ensure_finite(z0, "z0")
     if not within(abs(z0) - 1.0):
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
     if isinstance(alpha, Fraction):

@@ -14,9 +14,8 @@ whose eigenvalues are (lam, lam**p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import Matrix2C, eigen2, ensure_finite, order_by_modulus
+from .algebra import Matrix2C, Value, eigen2, ensure_finite, order_by_modulus
 from .errors import InvalidInputError, NotContractingError
 from .tolerance import inside_unit, resolve, within
 
@@ -24,56 +23,53 @@ from .tolerance import inside_unit, resolve, within
 RESONANCE_MAX_ORDER = 64
 
 
-@dataclass(frozen=True)
-class ResonantForm:
+class ResonantForm(Value):
     """The germ (z, w) -> (lam*z + c*w**p, lam**p * w)."""
 
     lam: complex
     p: int
-    c: complex = 1.0
+    c: complex
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", ensure_finite(self.lam, "lam"))
-        object.__setattr__(self, "c", ensure_finite(self.c, "c"))
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
-            raise InvalidInputError(f"p must be a positive integer, got {self.p!r}")
+    def __init__(self, lam: complex, p: int, c: complex = 1.0) -> None:
+        lam = ensure_finite(lam, "lam")
+        c = ensure_finite(c, "c")
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise InvalidInputError(f"p must be a positive integer, got {p!r}")
+        self.__dict__.update(lam=lam, p=p, c=c)
 
 
 ContractionInput = Matrix2C | ResonantForm
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Value):
     """Class of the diagonal surface with eigenvalues (lambda1, lambda2)."""
 
     lambda1: complex
     lambda2: complex
 
-    def __post_init__(self) -> None:
-        l1 = ensure_finite(self.lambda1, "lambda1")
-        l2 = ensure_finite(self.lambda2, "lambda2")
+    def __init__(self, lambda1: complex, lambda2: complex) -> None:
+        l1 = ensure_finite(lambda1, "lambda1")
+        l2 = ensure_finite(lambda2, "lambda2")
         if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
             raise InvalidInputError("eigenvalue moduli must lie strictly inside (0, 1)")
         if abs(l1) < abs(l2) - resolve():
             raise InvalidInputError("Diagonal expects moduli in descending order")
-        object.__setattr__(self, "lambda1", l1)
-        object.__setattr__(self, "lambda2", l2)
+        self.__dict__.update(lambda1=l1, lambda2=l2)
 
 
-@dataclass(frozen=True)
-class Resonant:
+class Resonant(Value):
     """Class of the resonant model of order p with leading eigenvalue lam."""
 
     lam: complex
     p: int
 
-    def __post_init__(self) -> None:
-        lam = ensure_finite(self.lam, "lam")
+    def __init__(self, lam: complex, p: int) -> None:
+        lam = ensure_finite(lam, "lam")
         if not inside_unit(abs(lam)):
             raise InvalidInputError("lam modulus must lie strictly inside (0, 1)")
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
-            raise InvalidInputError(f"p must be a positive integer, got {self.p!r}")
-        object.__setattr__(self, "lam", lam)
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            raise InvalidInputError(f"p must be a positive integer, got {p!r}")
+        self.__dict__.update(lam=lam, p=p)
 
 
 HopfClass = Diagonal | Resonant

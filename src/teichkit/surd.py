@@ -11,9 +11,7 @@ floats enter any decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .algebra import IntMatrix2
+from .algebra import IntMatrix2, Value
 from .errors import InvalidInputError, LimitExceededError, SingularMatrixError
 
 # Most partial quotients expanded while looking for the period.  The period
@@ -22,28 +20,29 @@ from .errors import InvalidInputError, LimitExceededError, SingularMatrixError
 _MAX_CF_STEPS = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticIrrational:
-    """The real number (p + sqrt(d)) / q with d a positive non-square."""
+class QuadraticIrrational(Value):
+    """The real number (p + sqrt(d)) / q with d a positive non-square.
+
+    Equal numbers are equal however they are written: equality and hash go
+    by canonical_key, not by the fields.
+    """
 
     p: int
     q: int
     d: int
 
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "d"):
-            v = getattr(self, name)
+    def __init__(self, p: int, q: int, d: int) -> None:
+        for name, v in (("p", p), ("q", q), ("d", d)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-        if self.q == 0:
+        if q == 0:
             raise InvalidInputError("denominator q must be nonzero")
-        if self.d <= 0 or math.isqrt(self.d) ** 2 == self.d:
-            raise InvalidInputError(f"d must be a positive non-square, got {self.d}")
-        if (self.d - self.p * self.p) % self.q != 0:
-            scale = abs(self.q)
-            object.__setattr__(self, "d", self.d * scale * scale)
-            object.__setattr__(self, "p", self.p * scale)
-            object.__setattr__(self, "q", self.q * scale)
+        if d <= 0 or math.isqrt(d) ** 2 == d:
+            raise InvalidInputError(f"d must be a positive non-square, got {d}")
+        if (d - p * p) % q != 0:
+            scale = abs(q)
+            p, q, d = p * scale, q * scale, d * scale * scale
+        self.__dict__.update(p=p, q=q, d=d)
 
     def canonical_key(self) -> tuple[int, int, int, int]:
         """(a, b, c, s): content-1 minimal polynomial a*x**2 + b*x + c with

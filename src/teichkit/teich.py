@@ -18,9 +18,7 @@ base twin, the one-sided adherence that makes the space non-Hausdorff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import ensure_finite, quadratic_roots
+from .algebra import Value, ensure_finite, quadratic_roots
 from .errors import InvalidPointError, SamePointError
 from .hopf import Diagonal, HopfClass, Resonant, resonance_order
 from .tolerance import inside_unit, within
@@ -34,24 +32,21 @@ def in_base_domain(det: complex, trace: complex) -> bool:
     return inside_unit(abs(r1)) and inside_unit(abs(r2))
 
 
-@dataclass(frozen=True)
-class BasePoint:
+class BasePoint(Value):
     """A point of the base domain, in (det, trace) coordinates."""
 
     det: complex
     trace: complex
 
-    def __post_init__(self) -> None:
-        det = ensure_finite(self.det, "det")
-        trace = ensure_finite(self.trace, "trace")
+    def __init__(self, det: complex, trace: complex) -> None:
+        det = ensure_finite(det, "det")
+        trace = ensure_finite(trace, "trace")
         if not in_base_domain(det, trace):
             raise InvalidPointError(f"({det!r}, {trace!r}) is outside the base domain")
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "trace", trace)
+        self.__dict__.update(det=det, trace=trace)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(Value):
     """A point of the doubled curve of resonance order >= 1.
 
     Order 1 is the Jordan stratum over the discriminant locus; order p >= 2
@@ -61,16 +56,14 @@ class CurvePoint:
     order: int
     lam: complex
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
-            raise InvalidPointError(f"order must be a positive integer, got {self.order!r}")
-        lam = ensure_finite(self.lam, "lam")
-        object.__setattr__(self, "lam", lam)
-        det, trace = _curve_image(self.order, lam)
+    def __init__(self, order: int, lam: complex) -> None:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise InvalidPointError(f"order must be a positive integer, got {order!r}")
+        lam = ensure_finite(lam, "lam")
+        det, trace = _curve_image(order, lam)
         if not in_base_domain(det, trace):
-            raise InvalidPointError(
-                f"curve point of order {self.order} at {lam!r} images outside the base domain"
-            )
+            raise InvalidPointError(f"curve point of order {order} at {lam!r} images outside the base domain")
+        self.__dict__.update(order=order, lam=lam)
 
 
 TeichPoint = BasePoint | CurvePoint

@@ -13,9 +13,8 @@ are equivalent exactly when their reduced points coincide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import IntMatrix2, ensure_finite
+from .algebra import IntMatrix2, Value, ensure_finite
 from .errors import InvalidInputError, MismatchedFiberError, NotUnimodularError
 from .tolerance import resolve, within
 
@@ -101,6 +100,13 @@ def _frac(v: float) -> float:
     return 0.0 if r >= 1.0 else r
 
 
+def _lattice_coordinate(v: float, name: str) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise InvalidInputError(f"{name} must be finite")
+    return _frac(v)
+
+
 def lattice_reduce(z: complex, tau: complex) -> tuple[float, float]:
     """Lattice coordinates (x, y) in [0, 1)^2 with z = x + y*tau mod the
     lattice Z + Z*tau."""
@@ -111,8 +117,7 @@ def lattice_reduce(z: complex, tau: complex) -> tuple[float, float]:
     return _frac(x), _frac(y)
 
 
-@dataclass(frozen=True)
-class TorusTranslation:
+class TorusTranslation(Value):
     """Translation of the torus fiber at tau, stored in lattice coordinates
     (x, y) in [0, 1)^2; the translation vector is z = x + y*tau."""
 
@@ -120,13 +125,8 @@ class TorusTranslation:
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", require_upper_half(self.tau))
-        for name in ("x", "y"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidInputError(f"{name} must be finite")
-            object.__setattr__(self, name, _frac(v))
+    def __init__(self, tau: complex, x: float, y: float) -> None:
+        self.__dict__.update(tau=require_upper_half(tau), x=_lattice_coordinate(x, "x"), y=_lattice_coordinate(y, "y"))
 
     @classmethod
     def from_z(cls, tau: complex, z: complex) -> "TorusTranslation":

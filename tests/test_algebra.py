@@ -266,3 +266,78 @@ class TestIntMatrix2:
         m = random_unimodular(random.Random(seed))
         assert m.det() == 1
         assert (m @ m.inverse()).rows() == ((1, 0), (0, 1))
+
+
+class TestOnlyNumbers:
+    @pytest.mark.parametrize("value", ["1+2j", "4", b"4", True, False, object()])
+    def test_ensure_finite_refuses_what_is_not_a_number(self, value):
+        with pytest.raises(InvalidInputError, match="^v must be a finite number: "):
+            ensure_finite(value, "v")
+
+    def test_numeric_string_entry_is_refused(self):
+        with pytest.raises(InvalidInputError, match="^d must be a finite number: "):
+            Matrix2C(1, 2, 3, "4")
+        with pytest.raises(InvalidInputError, match="^a must be a finite number: "):
+            Matrix2C(True, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "entries, name",
+        [(("1", float("inf"), 0, 0), "a"), ((1, "2", float("inf"), 0), "b"), ((1, 2, float("nan"), "4"), "c")],
+    )
+    def test_first_bad_entry_among_strings(self, entries, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be "):
+            Matrix2C(*entries)
+
+    def test_other_complex_numbers_are_accepted(self):
+        from fractions import Fraction
+
+        class Real(float):
+            pass
+
+        assert ensure_finite(Fraction(1, 4)) == 0.25 + 0j
+        assert ensure_finite(Real(0.5)) == 0.5 + 0j
+        assert Matrix2C(Fraction(1, 2), Real(2.0), 3, 4j) == Matrix2C(0.5, 2, 3, 4j)
+
+
+def assert_vieta(d, t, r1, r2):
+    # relative backward error of both of Vieta's relations, a few ulps
+    assert abs(r1 + r2 - t) <= 4e-16 * (abs(r1) + abs(r2)), (r1, r2)
+    assert abs(r1 * r2 - d) <= 4e-16 * abs(r1) * abs(r2), (r1, r2)
+
+
+class TestQuadraticRootsAtExtremeScales:
+    def test_huge_trace_with_tiny_root(self):
+        assert eigen2(Matrix2C(1e300, 0, 0, 1e-300)) == ((1e300 + 0j), (1e-300 + 0j), True)
+
+    @pytest.mark.parametrize(
+        "d, t",
+        [
+            (1.0, 1e300),
+            (1e300, 1e200),
+            (1e308, 0.0),
+            (-1e308, 1e154),
+            (1e308, 3e154j),
+            (2.0, 1e200 + 1e200j),
+            (1.7e308, 1.7e308),
+            (1e308 + 1e308j, 1e-300),
+            (-1.5e308, -1.5e308j),
+            (1e-300, 1e-150),
+            (1e-300, 2e-150),
+            (1e-200, 1e-100j),
+            (1e-30, 1e-160),
+            (3e-250, 1e-100 - 2e-100j),
+        ],
+    )
+    def test_vieta_relations_hold(self, d, t):
+        r1, r2 = quadratic_roots(d, t)
+        assert cmath.isfinite(r1) and cmath.isfinite(r2)
+        assert_vieta(complex(d), complex(t), r1, r2)
+
+    @pytest.mark.parametrize("d, t", [(0.0, 1.5e308 + 1.5e308j), (1.7e308, 1e308 + 1.7e308j)])
+    def test_root_past_float_range_is_invalid_input(self, d, t):
+        with pytest.raises(InvalidInputError, match="too large to represent"):
+            quadratic_roots(d, t)
+
+    def test_moderate_inputs_keep_their_roots(self):
+        assert quadratic_roots(0.125, 0.75) == ((0.5 + 0j), (0.25 + 0j))
+        assert quadratic_roots(0, 0) == (0j, 0j)

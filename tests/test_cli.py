@@ -3,6 +3,8 @@
 import io
 import json
 import random
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -459,3 +461,55 @@ class TestFixtureRunner:
         code, out, _ = run(["fixtures", "run", "--dir", str(tmp_path)])
         assert code == 1
         assert json.loads(out)["failed"] == 1
+
+
+class TestExtremeScales:
+    HUGE = "[[[1e300,0],[0,0]],[[0,0],[1e-300,0]]]"
+
+    def test_eigen_of_a_huge_trace_prints_its_eigenvalues(self):
+        assert run(["alg", "eigen", "--matrix", self.HUGE]) == (
+            0, '{"eigenvalues":[[1e+300,0],[1e-300,0]],"diagonalizable":true}\n', ""
+        )
+
+    def test_huge_trace_is_not_contracting(self):
+        assert run_json(["hopf", "contracting", "--matrix", self.HUGE]) == {"contracting": False}
+        code, out, err = run(["hopf", "classify", "--matrix", self.HUGE])
+        assert (code, out, json.loads(err)["error"]) == (1, "", "not_contracting")
+
+    def test_roots_of_a_huge_trace(self):
+        assert run_json(["alg", "quadratic-roots", "--d", "1e308", "0", "--t", "1e308", "0"]) == {
+            "roots": [[1e308, 0], [1, 0]]
+        }
+
+
+def test_concurrent_help_and_usage_errors_keep_to_their_streams():
+    # help goes to the call's out and usage errors to its err, and the
+    # process-wide streams are never swapped, whichever thread runs
+    argvs = [["--help"], ["alg", "--help"], ["hopf", "classify", "--help"], ["nope"], ["alg", "idet"],
+             ["tori", "reduce", "--tau", "x", "0"], ["teich"]]
+    expected = {tuple(argv): run(argv) for argv in argvs}
+    assert all(out or err for _, out, err in expected.values())
+    stdout, stderr = sys.stdout, sys.stderr
+    outcomes, start = [], threading.Barrier(8)
+
+    def worker(offset):
+        start.wait(30)
+        for i in range(40):
+            argv = argvs[(offset + i) % len(argvs)]
+            outcomes.append((tuple(argv), run(argv)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sys.stdout is stdout and sys.stderr is stderr
+    assert len(outcomes) == 8 * 40
+    for argv, outcome in outcomes:
+        assert outcome == expected[argv], argv

@@ -172,3 +172,24 @@ class TestPublicApi:
         code = f"{first}; import teichkit, types; print(isinstance(teichkit.tolerance, types.FunctionType))"
         assert fresh(code).split() == ["True"]
         assert isinstance(teichkit.tolerance, types.FunctionType)
+
+
+FIXTURES = str(Path(SRC).parent / "fixtures")
+MODULES = "print(*sys.modules)"
+DISPATCH = f"import io; from teichkit.cli import dispatch; dispatch(sys.argv[1:], io.StringIO(), io.StringIO()); {MODULES}"
+
+
+@pytest.mark.parametrize(
+    "argv", [*FIRST_VERBS, ["fixtures", "run", "--dir", FIXTURES], ["--help"]], ids=lambda argv: " ".join(argv[:2])
+)
+def test_value_types_import_neither_dataclasses_nor_inspect(argv):
+    # the fixture corpus runs a verb of every group, so it loads every kernel module
+    added = set(fresh(DISPATCH, *argv).split()) - set(fresh(MODULES).split())
+    assert added & {"dataclasses", "inspect"} == set()
+    assert "teichkit.cli" in added
+
+
+@pytest.mark.parametrize("argv", [argv for argv in FIRST_VERBS if argv[0] != "fol"], ids=lambda argv: argv[0])
+def test_number_check_fallback_is_not_imported(argv):
+    # ensure_finite imports numbers only for arguments of a type other than int, float, complex
+    assert "numbers" not in set(fresh(DISPATCH, *argv).split()) - set(fresh(MODULES).split())

@@ -99,7 +99,7 @@ def test_tolerance_is_read_only_where_allowed():
     # the value in force is read only by the three one-sided margin bounds,
     # and by the CLI, which hands the caller's value on without comparing.
     allowed = {
-        "hopf.Diagonal.__post_init__",
+        "hopf.Diagonal.__init__",
         "hopf.resonance_order",
         "tori.reduce_fundamental_domain",
         "cli._resolve_eps",

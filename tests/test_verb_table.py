@@ -43,7 +43,8 @@ def test_unprintable_result_is_invalid_input():
     for argv in (
         ["alg", "det", "--matrix", "[[[1e200,0],[0,0]],[[0,0],[1e200,0]]]"],
         ["alg", "trace", "--matrix", "[[[1.7e308,0],[0,0]],[[0,0],[1.7e308,0]]]"],
-        ["alg", "quadratic-roots", "--d", "1e308", "0", "--t", "1e308", "0"],
+        # a root whose modulus is past float range
+        ["alg", "quadratic-roots", "--d", "0", "0", "--t", "1.7e308", "1.7e308"],
         ["tori", "moebius", "--matrix", "[[0,-1],[1,0]]", "--tau", "0", "1e-320"],
         ["tori", "reduce", "--tau", "0", "1e-320"],
         ["tori", "lattice-reduce", "--z", "1e308", "1e308", "--tau", "0", "1e-300"],
