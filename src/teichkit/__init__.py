@@ -41,7 +41,7 @@ _LAZY = {
     ),
     "hopf": (
         "RESONANCE_MAX_ORDER", "ContractionInput", "Diagonal", "HopfClass", "Resonant", "ResonantForm",
-        "biholomorphic", "class_equal", "classify", "det_trace", "is_contracting", "resonance_order",
+        "biholomorphic", "class_equal", "classify", "is_contracting", "resonance_order",
     ),
     "surd": ("QuadraticIrrational", "continued_fraction_expansion", "moebius_surd", "periodic_state_keys"),
     "teich": (

@@ -92,6 +92,25 @@ def ensure_finite(z: complex, what: str = "value") -> complex:
     return z
 
 
+def ensure_real(x: float, what: str = "value") -> float:
+    """x as a finite float; anything else raises InvalidInputError.
+
+    ensure_finite's rule for ``numbers.Real``: no ``bool``, no numeric string.
+    """
+    if type(x) is not float and type(x) is not int:
+        import numbers  # only arguments of other types pay for this import
+
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise InvalidInputError(f"{what} must be a finite real number: got {type(x).__name__}")
+    try:
+        x = float(x)
+    except OverflowError as exc:  # an int past float range
+        raise InvalidInputError(f"{what} must be a finite real number: {exc}") from None
+    if not math.isfinite(x):
+        raise InvalidInputError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def arg_unit_interval(z: complex) -> float:
     """Argument of z in [0, 2*pi)."""
     a = cmath.phase(z)
@@ -205,9 +224,6 @@ class Matrix2C(Value):
             raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
         return Matrix2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def max_norm(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
@@ -272,9 +288,6 @@ class IntMatrix2(Value):
             # an exact integer inverse exists only for determinant +-1
             raise NotUnimodularError(f"integer inverse requires det +-1, got {det}")
         return IntMatrix2(self.d * det, -self.b * det, -self.c * det, self.a * det)
-
-    def to_complex(self) -> Matrix2C:
-        return Matrix2C(self.a, self.b, self.c, self.d)
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))

@@ -21,7 +21,7 @@ import cmath
 import random
 from typing import Callable
 
-from .algebra import Matrix2C, Value, ensure_finite
+from .algebra import Matrix2C, Value, ensure_finite, ensure_real
 from .errors import (
     InvalidInputError,
     LimitExceededError,
@@ -248,7 +248,7 @@ def groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0, tol: 
         raise LimitExceededError(f"samples must be at most {MAX_CHECK_SAMPLES}, got {samples}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    tol = float(tol)
+    tol = ensure_real(tol, "tol")
     if not tol > 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol!r}")
 

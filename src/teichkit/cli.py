@@ -11,12 +11,12 @@ eps is --eps, else the TEICHKIT_EPS environment variable, else the tolerance
 already in force where dispatch was called; nothing outlives the block.
 
 Every verb is one row of VERBS: its group, name, help text, typed flags and
-the library call with its encoder.  The parser and dispatch both read only
-that table.  A flag's kind (KINDS) says how argparse reads it and how
-dispatch decodes the raw value.  Decoding runs inside dispatch, inside the
-tolerance block, so that schema and domain errors keep their exit codes;
-library and jsonio functions are looked up when called, never captured when
-the table is built.
+the library call, whose values canonical_dumps writes; no row encodes.  The
+parser and dispatch both read only that table.  A flag's kind (KINDS) says
+how argparse reads it and how dispatch decodes the raw value.  Decoding runs
+inside dispatch, inside the tolerance block, so that schema and domain
+errors keep their exit codes; library and jsonio functions are looked up
+when called, never captured when the table is built.
 
 A command imports only what it uses.  The kernel modules are bound here as
 stand-ins (teichkit._Deferred) that import the module the first time a row
@@ -59,14 +59,8 @@ from .jsonio import (
     dec_matrix2c,
     dec_surd,
     dec_teich_point,
-    enc_atlas_point,
-    enc_complex,
-    enc_group_element,
-    enc_hopf_class,
-    enc_int_matrix,
-    enc_matrix2c,
-    enc_teich_point,
     loads_strict,
+    wire,
 )
 from .tolerance import checked_eps, resolve, tolerance
 
@@ -225,40 +219,28 @@ class Verb(NamedTuple):
     one_of: bool = False  # the flags form one required mutually exclusive group
 
 
-# ------------------------------------------------------------------ encoders
-
-
-def _complexes(keys, values) -> dict:
-    return {key: enc_complex(value) for key, value in zip(keys, values)}
+# ------------------------------------------------------------------ payloads
 
 
 def _eigen(l1, l2, diagonalizable) -> dict:
-    return {"eigenvalues": [enc_complex(l1), enc_complex(l2)], "diagonalizable": diagonalizable}
-
-
-def _reduction(reduced, witness) -> dict:
-    return {"reduced": enc_complex(reduced), "witness": enc_int_matrix(witness)}
+    return {"eigenvalues": [l1, l2], "diagonalizable": diagonalizable}
 
 
 def _equivalence(witness) -> dict:
-    return {"equivalent": witness is not None, "witness": None if witness is None else enc_int_matrix(witness)}
+    return {"equivalent": witness is not None, "witness": witness}
 
 
 def _compose(tau, z1, z2) -> dict:
     t1 = tori.TorusTranslation.from_z(tau, z1)
     t2 = tori.TorusTranslation.from_z(tau, z2)
     composed = tori.translation_compose(t1, t2)
-    return {"x": composed.x, "y": composed.y, "z": enc_complex(composed.z)}
+    return {"x": composed.x, "y": composed.y, "z": composed.z}
 
 
 def _classify(matrix, resonant) -> dict:
     cls = hopf.classify(resonant if matrix is None else matrix)
-    d, t = teich.image(teich.point_of_class(cls)) if matrix is None else hopf.det_trace(matrix)
-    return {**enc_hopf_class(cls), "det_trace": [enc_complex(d), enc_complex(t)]}
-
-
-def _twin(other) -> dict:
-    return {"twin": None if other is None else enc_teich_point(other)}
+    d, t = teich.image(teich.point_of_class(cls)) if matrix is None else (matrix.det, matrix.trace)
+    return {**wire(cls), "det_trace": [d, t]}
 
 
 def _leaf(descriptor) -> dict:
@@ -277,26 +259,6 @@ def _continued_fraction(cf) -> dict:
     return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
 
 
-def _arrow(g, m) -> dict:
-    return {"g": enc_group_element(g), "m": enc_atlas_point(m)}
-
-
-def _counterexample(example: dict | None):
-    if example is None:
-        return None
-    encoded = {}
-    for key, value in example.items():
-        if isinstance(value, atlas.GroupElement):
-            encoded[key] = enc_group_element(value)
-        elif isinstance(value, atlas.AtlasPoint):
-            encoded[key] = enc_atlas_point(value)
-        elif isinstance(value, complex):
-            encoded[key] = enc_complex(value)
-        else:
-            encoded[key] = value
-    return encoded
-
-
 def _check_report(report) -> dict:
     return {
         "structure": report.structure,
@@ -309,7 +271,7 @@ def _check_report(report) -> dict:
                 "passed": law.passed,
                 "checked": law.checked,
                 "failures": law.failures,
-                "counterexample": _counterexample(law.counterexample),
+                "counterexample": law.counterexample,
             }
             for law in report.laws
         ],
@@ -337,31 +299,31 @@ GROUPS = {
 
 VERBS = (
     Verb("alg", "quadratic-roots", "roots of x^2 - t x + d", (Flag("d", "pair"), Flag("t", "pair")),
-         lambda d, t: {"roots": [enc_complex(r) for r in algebra.quadratic_roots(d, t)]}),
+         lambda d, t: {"roots": algebra.quadratic_roots(d, t)}),
     Verb("alg", "eigen", "eigenvalues and diagonalizability",
          (Flag("matrix", "matrix", help="2x2 complex matrix JSON"),),
          lambda m: _eigen(*algebra.eigen2(m))),
     Verb("alg", "mul", "complex matrix product", (Flag("a", "matrix"), Flag("b", "matrix")),
-         lambda a, b: {"product": enc_matrix2c(a @ b)}),
+         lambda a, b: {"product": a @ b}),
     Verb("alg", "inv", "complex matrix inverse", (Flag("matrix", "matrix"),),
-         lambda m: {"inverse": enc_matrix2c(m.inverse())}),
+         lambda m: {"inverse": m.inverse()}),
     Verb("alg", "det", "complex matrix determinant", (Flag("matrix", "matrix"),),
-         lambda m: {"det": enc_complex(m.det)}),
+         lambda m: {"det": m.det}),
     Verb("alg", "trace", "complex matrix trace", (Flag("matrix", "matrix"),),
-         lambda m: {"trace": enc_complex(m.trace)}),
+         lambda m: {"trace": m.trace}),
     Verb("alg", "imul", "integer matrix product", (Flag("a", "int_matrix"), Flag("b", "int_matrix")),
-         lambda a, b: {"product": enc_int_matrix(a @ b)}),
+         lambda a, b: {"product": a @ b}),
     Verb("alg", "iinv", "integer matrix inverse (det +-1)", (Flag("matrix", "int_matrix"),),
-         lambda m: {"inverse": enc_int_matrix(m.inverse())}),
+         lambda m: {"inverse": m.inverse()}),
     Verb("alg", "idet", "integer matrix determinant", (Flag("matrix", "int_matrix"),),
          lambda m: {"det": m.det()}),
     Verb("alg", "itrace", "integer matrix trace", (Flag("matrix", "int_matrix"),),
          lambda m: {"trace": m.trace()}),
     Verb("tori", "moebius", "apply an SL2(Z) matrix to tau",
          (Flag("matrix", "int_matrix", help="integer matrix JSON"), Flag("tau", "pair")),
-         lambda m, tau: {"tau": enc_complex(tori.moebius(m, tau))}),
+         lambda m, tau: {"tau": tori.moebius(m, tau)}),
     Verb("tori", "reduce", "reduce tau into the fundamental domain", (Flag("tau", "pair"),),
-         lambda tau: _reduction(*tori.reduce_fundamental_domain(tau))),
+         lambda tau: dict(zip(("reduced", "witness"), tori.reduce_fundamental_domain(tau)))),
     Verb("tori", "equiv", "decide biholomorphism of two tori", (Flag("tau1", "pair"), Flag("tau2", "pair")),
          lambda tau1, tau2: _equivalence(tori.tori_equivalent(tau1, tau2))),
     Verb("tori", "lattice-reduce", "canonical lattice coordinates of z", (Flag("z", "pair"), Flag("tau", "pair")),
@@ -377,7 +339,7 @@ VERBS = (
           Flag("resonant", "resonant", help="LAMBDA_RE LAMBDA_IM P [C_RE C_IM]")),
          _classify, one_of=True),
     Verb("hopf", "det-trace", "(det, trace) image of a matrix", (Flag("matrix", "matrix"),),
-         lambda m: _complexes(("det", "trace"), hopf.det_trace(m))),
+         lambda m: {"det": m.det, "trace": m.trace}),
     Verb("hopf", "biholo", "biholomorphism test for two contractions",
          (Flag("a", "contraction", help="matrix JSON or resonant-form object"),
           Flag("b", "contraction", help="matrix JSON or resonant-form object")),
@@ -386,13 +348,13 @@ VERBS = (
          lambda d, t: {"in_domain": teich.in_base_domain(d, t)}),
     Verb("teich", "point", "deformation-space point of a class",
          (Flag("class", "hopf_class", dest="hopf_class", help="class JSON"),),
-         lambda c: {"point": enc_teich_point(teich.point_of_class(c))}),
+         lambda c: {"point": teich.point_of_class(c)}),
     Verb("teich", "class", "class of a deformation-space point", (Flag("point", "teich_point", help="point JSON"),),
-         lambda x: enc_hopf_class(teich.class_of_point(x))),
+         lambda x: teich.class_of_point(x)),
     Verb("teich", "image", "(det, trace) image of a point", (Flag("point", "teich_point"),),
-         lambda x: _complexes(("d", "t"), teich.image(x))),
+         lambda x: dict(zip("dt", teich.image(x)))),
     Verb("teich", "twin", "the non-separated partner, if any", (Flag("point", "teich_point"),),
-         lambda x: _twin(teich.twin(x))),
+         lambda x: {"twin": teich.twin(x)}),
     Verb("teich", "separated", "Hausdorff separation of two points",
          (Flag("x", "teich_point"), Flag("y", "teich_point")),
          lambda x, y: {"separated": teich.separated(x, y)}),
@@ -412,20 +374,20 @@ VERBS = (
          lambda alpha, beta: {"equivalent": foliation.morita_equivalent(alpha, beta)}),
     Verb("fol", "orbit", "rotation orbit on the unit circle",
          (Flag("z0", "pair"), Flag("alpha", "slope"), Flag("max-points", "int")),
-         lambda z0, alpha, n: {"points": [enc_complex(z) for z in foliation.rotation_orbit(z0, alpha, n)]}),
+         lambda z0, alpha, n: {"points": foliation.rotation_orbit(z0, alpha, n)}),
     Verb("atlas", "gmul", "twisted product (A,t)*(B,s)",
          (Flag("x", "group_element", help='{"a": matrix, "t": [re, im]} JSON'), Flag("y", "group_element")),
-         lambda x, y: {"result": enc_group_element(atlas.g_mul(x, y))}),
+         lambda x, y: {"result": atlas.g_mul(x, y)}),
     Verb("atlas", "ginv", "twisted-group inverse", (Flag("x", "group_element"),),
-         lambda x: {"result": enc_group_element(atlas.g_inverse(x))}),
+         lambda x: {"result": atlas.g_inverse(x)}),
     Verb("atlas", "zaction", "integer twist (i(m)^p g, m)",
          (Flag("p", "int"), Flag("g", "group_element"), Flag("m", "atlas_point"), Flag("structure", "structure")),
-         lambda p, g, m, structure: _arrow(*atlas.z_action(p, g, m, structure))),
+         lambda p, g, m, structure: dict(zip("gm", atlas.z_action(p, g, m, structure)))),
     Verb("atlas", "source", "source of the arrow (g, m)", (Flag("g", "group_element"), Flag("m", "atlas_point")),
-         lambda g, m: {"point": enc_atlas_point(atlas.source(g, m))}),
+         lambda g, m: {"point": atlas.source(g, m)}),
     Verb("atlas", "target", "target of the arrow (g, m)",
          (Flag("g", "group_element"), Flag("m", "atlas_point"), Flag("structure", "structure")),
-         lambda g, m, structure: {"point": enc_atlas_point(atlas.target(g, m, structure))}),
+         lambda g, m, structure: {"point": atlas.target(g, m, structure)}),
     Verb("atlas", "check", "randomized groupoid-law verification",
          (Flag("structure", "structure"), Flag("samples", "int", default=1000), Flag("seed", "int", default=0)),
          lambda structure, samples, seed: _check_report(atlas.groupoid_check(structure, samples, seed))),

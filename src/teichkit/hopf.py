@@ -130,12 +130,6 @@ def classify(data: ContractionInput) -> HopfClass:
     raise InvalidInputError(f"unsupported contraction input {data!r}")
 
 
-def det_trace(m: Matrix2C) -> tuple[complex, complex]:
-    """The pair (det, trace), the complete conjugation invariant used by the
-    deformation-space coordinates."""
-    return m.det, m.trace
-
-
 def class_equal(a: HopfClass, b: HopfClass) -> bool:
     if isinstance(a, Diagonal) and isinstance(b, Diagonal):
         return within(a.lambda1 - b.lambda1) and within(a.lambda2 - b.lambda2)

@@ -8,12 +8,16 @@ errors); value-level domain violations surface as the library's own
 exceptions.
 
 Encodings: complex as [re, im]; 2x2 complex matrices as row-major pairs of
-such entries; integer matrices as plain integer rows; rationals as the
-string "num/den"; quadratic surds (p + sqrt(d))/q as {"p":..,"q":..,"d":..}.
+such entries; integer matrices as plain integer rows.  canonical_dumps
+writes complex numbers itself and every other value type through ``wire``,
+the one place that spells each type's shape, so callers never encode.
+Slopes, rationals "num/den" and surds (p + sqrt(d))/q as {"p","q","d"},
+are only decoded.
 
-Importing this module imports no kernel module.  A decoder or encoder reads
-its value types from their module (``algebra.Matrix2C``, ``teich.BasePoint``
-and so on), and that module is imported the first time one of them runs.
+Importing this module imports no kernel module.  A decoder reads its value
+types from their module (``algebra.Matrix2C``, ``teich.BasePoint`` and so
+on), and that module is imported the first time one of them runs; ``wire``
+reads only class names.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ def _write(obj, parts: list[str]) -> None:
         parts.append(repr(obj))
     elif isinstance(obj, float):
         parts.append(format_float(obj))
+    elif isinstance(obj, complex):
+        parts.append(f"[{format_float(obj.real)},{format_float(obj.imag)}]")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
@@ -74,7 +80,32 @@ def _write(obj, parts: list[str]) -> None:
             _write(value, parts)
         parts.append("}")
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+        _write(wire(obj), parts)
+
+
+def wire(obj):
+    """The JSON shape of a value type that a command prints, as plain
+    containers and numbers; any other type raises TypeError.
+
+    Types are told apart by class name, not isinstance, so that writing a
+    value imports no kernel module.
+    """
+    kind = type(obj).__name__
+    if kind in ("Matrix2C", "IntMatrix2"):
+        return [[obj.a, obj.b], [obj.c, obj.d]]
+    if kind in ("GroupElement", "AtlasPoint"):
+        return {"a": obj.a, "t": obj.t}
+    if kind == "BasePoint":
+        return {"stratum": "base", "params": [obj.det, obj.trace]}
+    if kind == "CurvePoint":
+        if obj.order == 1:
+            return {"stratum": "c", "params": [obj.lam]}
+        return {"stratum": "cp", "p": obj.order, "params": [obj.lam]}
+    if kind == "Diagonal":
+        return {"class": "diagonal", "lambda1": obj.lambda1, "lambda2": obj.lambda2}
+    if kind == "Resonant":
+        return {"class": "resonant", "lambda": obj.lam, "p": obj.p}
+    raise TypeError(f"cannot serialize {kind} to JSON")
 
 
 def loads_strict(text: str, what: str = "input"):
@@ -106,18 +137,10 @@ def _int(v, what: str) -> int:
     return v
 
 
-def enc_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def dec_complex(v, what: str = "complex value") -> complex:
     if not isinstance(v, list) or len(v) != 2:
         raise SchemaError(f"{what} must be a [re, im] pair, got {v!r}")
     return complex(_real(v[0], f"{what} real part"), _real(v[1], f"{what} imaginary part"))
-
-
-def enc_matrix2c(m: algebra.Matrix2C) -> list:
-    return [[enc_complex(m.a), enc_complex(m.b)], [enc_complex(m.c), enc_complex(m.d)]]
 
 
 def dec_matrix2c(v, what: str = "matrix") -> algebra.Matrix2C:
@@ -131,10 +154,6 @@ def dec_matrix2c(v, what: str = "matrix") -> algebra.Matrix2C:
     )
 
 
-def enc_int_matrix(m: algebra.IntMatrix2) -> list:
-    return [[m.a, m.b], [m.c, m.d]]
-
-
 def dec_int_matrix(v, what: str = "integer matrix") -> algebra.IntMatrix2:
     if not isinstance(v, list) or len(v) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in v):
         raise SchemaError(f"{what} must be a 2x2 row-major array, got {v!r}")
@@ -146,27 +165,10 @@ def dec_int_matrix(v, what: str = "integer matrix") -> algebra.IntMatrix2:
     )
 
 
-def enc_rational(value) -> str:
-    """A fractions.Fraction as "num/den"."""
-    return f"{value.numerator}/{value.denominator}"
-
-
-def enc_surd(x: surd.QuadraticIrrational) -> dict:
-    return {"p": x.p, "q": x.q, "d": x.d}
-
-
 def dec_surd(v, what: str = "quadratic irrational") -> surd.QuadraticIrrational:
     if not isinstance(v, dict) or set(v) != {"p", "q", "d"}:
         raise SchemaError(f'{what} must be an object with keys "p", "q", "d", got {v!r}')
     return surd.QuadraticIrrational(_int(v["p"], f"{what} p"), _int(v["q"], f"{what} q"), _int(v["d"], f"{what} d"))
-
-
-def enc_teich_point(x: teich.TeichPoint) -> dict:
-    if isinstance(x, teich.BasePoint):
-        return {"stratum": "base", "params": [enc_complex(x.det), enc_complex(x.trace)]}
-    if x.order == 1:
-        return {"stratum": "c", "params": [enc_complex(x.lam)]}
-    return {"stratum": "cp", "p": x.order, "params": [enc_complex(x.lam)]}
 
 
 def dec_teich_point(v, what: str = "point") -> teich.TeichPoint:
@@ -192,12 +194,6 @@ def dec_teich_point(v, what: str = "point") -> teich.TeichPoint:
             raise SchemaError(f"{what}: stratum cp needs p >= 2, got {p}")
         return teich.CurvePoint(p, dec_complex(params[0], f"{what} lambda"))
     raise SchemaError(f"{what}: unknown stratum {stratum!r}")
-
-
-def enc_hopf_class(c: hopf.HopfClass) -> dict:
-    if isinstance(c, hopf.Diagonal):
-        return {"class": "diagonal", "lambda1": enc_complex(c.lambda1), "lambda2": enc_complex(c.lambda2)}
-    return {"class": "resonant", "lambda": enc_complex(c.lam), "p": c.p}
 
 
 def dec_hopf_class(v, what: str = "class") -> hopf.HopfClass:
@@ -228,18 +224,10 @@ def dec_contraction(v, what: str = "contraction") -> algebra.Matrix2C | hopf.Res
     raise SchemaError(f"{what} must be a matrix array or a resonant-form object, got {v!r}")
 
 
-def enc_group_element(g: atlas.GroupElement) -> dict:
-    return {"a": enc_matrix2c(g.a), "t": enc_complex(g.t)}
-
-
 def dec_group_element(v, what: str = "group element") -> atlas.GroupElement:
     if not isinstance(v, dict) or set(v) != {"a", "t"}:
         raise SchemaError(f'{what} must be an object with keys "a" and "t", got {v!r}')
     return atlas.GroupElement(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))
-
-
-def enc_atlas_point(m: atlas.AtlasPoint) -> dict:
-    return {"a": enc_matrix2c(m.a), "t": enc_complex(m.t)}
 
 
 def dec_atlas_point(v, what: str = "atlas point") -> atlas.AtlasPoint:

@@ -18,7 +18,7 @@ base twin, the one-sided adherence that makes the space non-Hausdorff.
 
 from __future__ import annotations
 
-from .algebra import Value, ensure_finite, quadratic_roots
+from .algebra import Value, ensure_finite, ensure_real, quadratic_roots
 from .errors import InvalidPointError, SamePointError
 from .hopf import Diagonal, HopfClass, Resonant, resonance_order
 from .tolerance import inside_unit, within
@@ -163,7 +163,7 @@ def neighborhood_contains(center: TeichPoint, radius: float, x: TeichPoint) -> b
     """Whether x lies in the basic neighborhood of the given center and
     radius (open max-norm ball in image coordinates, minus the center
     curve's own base locus when the center is a curve point)."""
-    radius = float(radius)
+    radius = ensure_real(radius, "radius")
     if not radius > 0.0:
         raise InvalidPointError(f"radius must be positive, got {radius!r}")
     if _image_distance(center, x) >= radius:

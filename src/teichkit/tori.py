@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import IntMatrix2, Value, ensure_finite
+from .algebra import IntMatrix2, Value, ensure_finite, ensure_real
 from .errors import InvalidInputError, MismatchedFiberError, NotUnimodularError
 from .tolerance import resolve, within
 
@@ -100,13 +100,6 @@ def _frac(v: float) -> float:
     return 0.0 if r >= 1.0 else r
 
 
-def _lattice_coordinate(v: float, name: str) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise InvalidInputError(f"{name} must be finite")
-    return _frac(v)
-
-
 def lattice_reduce(z: complex, tau: complex) -> tuple[float, float]:
     """Lattice coordinates (x, y) in [0, 1)^2 with z = x + y*tau mod the
     lattice Z + Z*tau."""
@@ -126,7 +119,7 @@ class TorusTranslation(Value):
     y: float
 
     def __init__(self, tau: complex, x: float, y: float) -> None:
-        self.__dict__.update(tau=require_upper_half(tau), x=_lattice_coordinate(x, "x"), y=_lattice_coordinate(y, "y"))
+        self.__dict__.update(tau=require_upper_half(tau), x=_frac(ensure_real(x, "x")), y=_frac(ensure_real(y, "y")))
 
     @classmethod
     def from_z(cls, tau: complex, z: complex) -> "TorusTranslation":

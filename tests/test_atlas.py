@@ -116,7 +116,7 @@ class TestGroupElements:
     def test_power_matches_left_fold(self, seed, p):
         x = near_unit_group_element(random.Random(seed))
         want = fold_power(x, p)
-        scale = max(1.0, want.a.max_norm(), abs(want.t))
+        scale = max(1.0, *map(abs, want.a.entries()), abs(want.t))
         assert g_close(g_power(x, p), want, tol=1e-6 * scale)
 
     @pytest.mark.parametrize("p", [0, 1, -1, 3, -7, 256, -257, 10**6, 2**40, 2**1000 - 1])

@@ -10,7 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from teichkit import cli, default_eps, run_fixtures
+from teichkit import (
+    AtlasPoint,
+    BasePoint,
+    CurvePoint,
+    Diagonal,
+    GroupElement,
+    IntMatrix2,
+    Matrix2C,
+    Resonant,
+    TorusTranslation,
+    cli,
+    default_eps,
+    run_fixtures,
+)
 from teichkit.cli import dispatch, main
 from teichkit.foliation import MAX_ORBIT_POINTS
 from teichkit.jsonio import SchemaError, canonical_dumps, format_float, loads_strict
@@ -48,6 +61,40 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             canonical_dumps({1: 2})
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Matrix2C(1, -0.5j, 2.5, 0), "[[[1,0],[0,-0.5]],[[2.5,0],[0,0]]]"),
+            (IntMatrix2(1, -5, 0, 1), "[[1,-5],[0,1]]"),
+            (GroupElement(Matrix2C.diag(2, 1), 0.5j), '{"a":[[[2,0],[0,0]],[[0,0],[1,0]]],"t":[0,0.5]}'),
+            (AtlasPoint(Matrix2C.diag(0.5, 0.25), 1), '{"a":[[[0.5,0],[0,0]],[[0,0],[0.25,0]]],"t":[1,0]}'),
+            (BasePoint(0.125, 0.75), '{"stratum":"base","params":[[0.125,0],[0.75,0]]}'),
+            (CurvePoint(1, 0.5), '{"stratum":"c","params":[[0.5,0]]}'),
+            (CurvePoint(2, 0.5j), '{"stratum":"cp","p":2,"params":[[0,0.5]]}'),
+            (Diagonal(0.5, 0.25), '{"class":"diagonal","lambda1":[0.5,0],"lambda2":[0.25,0]}'),
+            (Resonant(0.5, 2), '{"class":"resonant","lambda":[0.5,0],"p":2}'),
+            (complex(-0.0, -0.0), "[0,0]"),
+            (
+                {"detail": "d", "m": AtlasPoint(Matrix2C.diag(0.5, 0.5), 0), "g": GroupElement(Matrix2C.identity(), 0),
+                 "t": 1 - 2j},
+                '{"detail":"d","m":{"a":[[[0.5,0],[0,0]],[[0,0],[0.5,0]]],"t":[0,0]},'
+                '"g":{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[0,0]},"t":[1,-2]}',
+            ),
+        ],
+        ids=[
+            "Matrix2C", "IntMatrix2", "GroupElement", "AtlasPoint", "BasePoint", "CurvePoint-order-1",
+            "CurvePoint-order-2", "Diagonal", "Resonant", "complex-negative-zero", "counterexample",
+        ],
+    )
+    def test_wire_shapes(self, value, text):
+        assert canonical_dumps(value) == text
+
+    def test_dumps_refuses_non_finite_complex_and_unknown_types(self):
+        with pytest.raises(ValueError):
+            canonical_dumps(complex("nan"))
+        with pytest.raises(TypeError, match="cannot serialize TorusTranslation"):
+            canonical_dumps(TorusTranslation(1j, 0.25, 0))
+
     def test_loads_strict(self):
         assert loads_strict('{"a": 1}') == {"a": 1}
         with pytest.raises(SchemaError):
@@ -79,10 +126,10 @@ class TestDecoding:
             dec_surd({"p": 0.5, "q": 1, "d": 2})
 
     def test_teich_point_shape(self):
-        from teichkit.jsonio import dec_teich_point, enc_teich_point
+        from teichkit.jsonio import dec_teich_point
 
         point = dec_teich_point({"stratum": "cp", "p": 2, "params": [[0.5, 0]]})
-        assert enc_teich_point(point) == {"stratum": "cp", "p": 2, "params": [[0.5, 0.0]]}
+        assert loads_strict(canonical_dumps(point)) == {"stratum": "cp", "p": 2, "params": [[0.5, 0]]}
         with pytest.raises(SchemaError):
             dec_teich_point({"stratum": "cp", "p": 1, "params": [[0.5, 0]]})
         with pytest.raises(SchemaError):

@@ -19,7 +19,6 @@ from teichkit import (
     biholomorphic,
     class_equal,
     classify,
-    det_trace,
     is_contracting,
     resonance_order,
     tolerance,
@@ -170,11 +169,13 @@ class TestHopfClassTypes:
 
 class TestDetTrace:
     def test_values(self):
-        assert det_trace(Matrix2C.diag(0.5, 0.25)) == (0.125, 0.75)
-        assert det_trace(JORDAN) == (0.25, 1.0)
+        diag = Matrix2C.diag(0.5, 0.25)
+        assert (diag.det, diag.trace) == (0.125, 0.75)
+        assert (JORDAN.det, JORDAN.trace) == (0.25, 1.0)
 
     def test_scalar_and_jordan_collide(self):
-        assert det_trace(Matrix2C.diag(0.5, 0.5)) == det_trace(JORDAN)
+        scalar = Matrix2C.diag(0.5, 0.5)
+        assert (scalar.det, scalar.trace) == (JORDAN.det, JORDAN.trace)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100)
@@ -182,8 +183,9 @@ class TestDetTrace:
         rng = random.Random(seed)
         m = random_contracting(rng)
         basis = random_conjugator(rng)
-        d1, t1 = det_trace(m)
-        d2, t2 = det_trace(basis @ (m @ basis.inverse()))
+        conj = basis @ (m @ basis.inverse())
+        d1, t1 = m.det, m.trace
+        d2, t2 = conj.det, conj.trace
         assert d1 == pytest.approx(d2, abs=1e-8)
         assert t1 == pytest.approx(t2, abs=1e-8)
 
