@@ -134,16 +134,22 @@ def quadratic_roots(d: complex, t: complex) -> tuple[complex, complex]:
     a rescaled equation.  A root too large to represent raises
     InvalidInputError.
     """
-    d = ensure_finite(d, "d")
-    t = ensure_finite(t, "t")
+    return order_by_modulus(*_roots(ensure_finite(d, "d"), ensure_finite(t, "t")))
+
+
+def _roots(d: complex, t: complex) -> tuple[complex, complex]:
+    """Both roots of x**2 - t*x + d for complex d and t, not ordered.
+
+    quadratic_roots without its input conversion and its canonical order.  A
+    non-finite d or t raises the error quadratic_roots raises for it.
+    """
     u = cmath.sqrt(t * t - 4.0 * d)
     if t.real * u.real + t.imag * u.imag < 0.0:
         u = -u
     big = 0.5 * (t + u)
-    if not cmath.isfinite(big):  # t*t, 4*d or t + u overflowed
-        big = _scaled_big_root(d, t)
-    small = d / big if big != 0 else 0.5 * (t - u)
-    return order_by_modulus(big, small)
+    if not cmath.isfinite(big):  # t*t, 4*d or t + u overflowed, or d or t is not finite
+        big = _scaled_big_root(ensure_finite(d, "d"), ensure_finite(t, "t"))
+    return big, d / big if big != 0 else 0.5 * (t - u)
 
 
 def _scaled_big_root(d: complex, t: complex) -> complex:
@@ -177,11 +183,18 @@ class Matrix2C(Value):
     d: complex
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
-        # Every matrix, products included, is checked here: finite entries
-        # can multiply to inf.  Four entries of exact number types are
-        # converted and tested in one pass; only any other matrix takes the
-        # per-entry path, which raises the error for the first bad entry in
-        # a, b, c, d order.
+        # Every matrix, products and inverses included, is checked here:
+        # finite entries can multiply to inf.  Four finite complex entries,
+        # as every product has, pass the first test and are stored as they
+        # are.  Four entries of exact number types are converted and tested
+        # in one pass; only any other matrix takes the per-entry path, which
+        # raises the error for the first bad entry in a, b, c, d order.
+        if (
+            type(a) is complex and type(b) is complex and type(c) is complex and type(d) is complex
+            and cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)
+        ):
+            self.__dict__.update(a=a, b=b, c=c, d=d)
+            return
         exact, valid = _EXACT_NUMBERS, False
         if type(a) in exact and type(b) in exact and type(c) in exact and type(d) in exact:
             try:
@@ -228,7 +241,12 @@ class Matrix2C(Value):
         return (self.a, self.b, self.c, self.d)
 
     def close_to(self, other: "Matrix2C", tol: float) -> bool:
-        return all(abs(x - y) <= tol for x, y in zip(self.entries(), other.entries()))
+        return (
+            abs(self.a - other.a) <= tol
+            and abs(self.b - other.b) <= tol
+            and abs(self.c - other.c) <= tol
+            and abs(self.d - other.d) <= tol
+        )
 
 
 def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:

@@ -1,12 +1,16 @@
 """The atlas group of the Teichmueller stack of S3 x S1.
 
 G is GL2(C) x C with the twisted product (A,t) * (B,s) = (AB, t + s det A);
-the twist is a group law because det is multiplicative.  M is the set of
-pairs (A,t) with A contracting.  The stack atlas additionally needs an
-action of G on M and an injection of M into G whose explicit formulas are
-not pinned down here; both are therefore caller-supplied plugins, and
-groupoid_check validates a supplied pair against the laws the construction
-needs instead of trusting it.
+the twist is a group law because det is multiplicative.  So each element
+carries its det: outside input computes ad - bc once and is refused when
+singular relative to |ad| + |bc|, while a product or an inverse takes its
+det from its operands and is refused only when that det underflows to 0 or
+it or the twist overflows (see GroupElement).  M is the set of pairs (A,t)
+with A contracting.  The stack atlas additionally needs an action of G on M
+and an injection of M into G whose explicit formulas are not pinned down
+here; both are therefore caller-supplied plugins, and groupoid_check
+validates a supplied pair against the laws the construction needs instead
+of trusting it.
 
 Two named structures ship with the module: the trivial one (action fixes m,
 injection is constant identity), which satisfies every law, and a broken
@@ -36,7 +40,18 @@ MAX_CHECK_SAMPLES = 100_000  # largest sample count groupoid_check accepts
 
 
 class GroupElement(Value):
-    """Element (a, t) of the twisted group GL2(C) x C."""
+    """Element (a, t) of the twisted group GL2(C) x C.
+
+    The element carries det a in a private ``_det`` entry outside the
+    fields, so it takes no part in the repr, equality, hash or wire format.
+    ``GroupElement(a, t)`` is the entry for outside input: it computes
+    ``ad - bc`` and refuses the matrix as singular when that is zero relative
+    to ``|ad| + |bc|``.  Products, inverses and the identity come from
+    g_mul, g_inverse and g_identity, which derive the det from their
+    operands' (det is multiplicative) and test no singularity: they refuse
+    a result only when its det underflows to 0 or its det or twist
+    overflows, a limit of representation (InvalidInputError).
+    """
 
     a: Matrix2C
     t: complex
@@ -45,9 +60,20 @@ class GroupElement(Value):
         if not isinstance(a, Matrix2C):
             raise InvalidInputError(f"matrix part must be Matrix2C, got {type(a).__name__}")
         ad, bc = a.a * a.d, a.b * a.c
-        if within(ad - bc, abs(ad) + abs(bc)):
-            raise SingularMatrixError(f"group element needs an invertible matrix, det = {ad - bc!r}")
-        self.__dict__.update(a=a, t=ensure_finite(t, "t"))
+        det = ad - bc
+        if within(det, abs(ad) + abs(bc)):
+            raise SingularMatrixError(f"group element needs an invertible matrix, det = {det!r}")
+        self.__dict__.update(a=a, t=ensure_finite(t, "t"), _det=det)
+
+    @classmethod
+    def _derived(cls, a: Matrix2C, t: complex, det: complex) -> "GroupElement":
+        """An element whose det is known from its operands: a is a checked
+        matrix, t and det are complex."""
+        if not (cmath.isfinite(t) and cmath.isfinite(det)) or det == 0:
+            raise InvalidInputError(f"group element cannot be represented in floats: t = {t!r}, det = {det!r}")
+        x = cls.__new__(cls)
+        x.__dict__.update(a=a, t=t, _det=det)
+        return x
 
 
 class AtlasPoint(Value):
@@ -64,18 +90,25 @@ class AtlasPoint(Value):
         self.__dict__.update(a=a, t=ensure_finite(t, "t"))
 
 
+_IDENTITY = Matrix2C.identity()
+
+
 def g_identity() -> GroupElement:
-    return GroupElement(Matrix2C.identity(), 0j)
+    return GroupElement._derived(_IDENTITY, 0j, 1 + 0j)
 
 
 def g_mul(x: GroupElement, y: GroupElement) -> GroupElement:
-    """(A,t) * (B,s) = (AB, t + s det A)."""
-    return GroupElement(x.a @ y.a, x.t + y.t * x.a.det)
+    """(A,t) * (B,s) = (AB, t + s det A), with det AB = det A det B."""
+    det = x._det
+    return GroupElement._derived(x.a @ y.a, x.t + y.t * det, det * y._det)
 
 
 def g_inverse(x: GroupElement) -> GroupElement:
-    """(A,t)^-1 = (A^-1, -t / det A), the unique two-sided inverse."""
-    return GroupElement(x.a.inverse(), -x.t / x.a.det)
+    """(A,t)^-1 = (A^-1, -t / det A), the unique two-sided inverse.
+
+    A^-1 is Matrix2C.inverse, whose singularity test is still absolute.
+    """
+    return GroupElement._derived(x.a.inverse(), -x.t / x._det, 1 / x._det)
 
 
 def g_power(x: GroupElement, p: int) -> GroupElement:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import Matrix2C, Value, eigen2, ensure_finite, order_by_modulus
+from .algebra import Matrix2C, Value, _roots, eigen2, ensure_finite, order_by_modulus
 from .errors import InvalidInputError, NotContractingError
 from .tolerance import inside_unit, resolve, within
 
@@ -77,8 +77,13 @@ HopfClass = Diagonal | Resonant
 
 def is_contracting(m: Matrix2C) -> bool:
     """Both eigenvalue moduli strictly inside (0, 1), with an eps guard band
-    on either end (also excludes non-invertible matrices)."""
-    l1, l2, _ = eigen2(m)
+    on either end (also excludes non-invertible matrices).
+
+    The decision needs only the two moduli, so it takes the roots from
+    algebra._roots: eigen2's eigenvalues, without eigen2's canonical order
+    and diagonalizability tests.  The answer is the one eigen2's moduli give.
+    """
+    l1, l2 = _roots(m.a * m.d - m.b * m.c, m.a + m.d)
     return inside_unit(abs(l1)) and inside_unit(abs(l2))
 
 

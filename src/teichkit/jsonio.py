@@ -125,7 +125,10 @@ def loads_strict(text: str, what: str = "input"):
 def _real(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{what} must be a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer past float range
+        raise SchemaError(f"{what} must be finite, got an integer past float range") from None
     if math.isnan(v) or math.isinf(v):
         raise SchemaError(f"{what} must be finite, got {v!r}")
     return v

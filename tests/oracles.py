@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 from teichkit import IntMatrix2, Matrix2C, QuadraticIrrational, moebius, moebius_surd
 
@@ -122,6 +123,59 @@ def surd_witness_search(x: QuadraticIrrational, y: QuadraticIrrational, box: int
                     if moebius_surd(m, x) == y:
                         return m
     return None
+
+
+def _gauss(z: complex) -> tuple[Fraction, Fraction]:
+    """A finite complex as an exact Gaussian rational (re, im)."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gadd(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _gsub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gdiv(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return _gmul(x, (y[0] / n, -y[1] / n))
+
+
+def _gdet(a, b, c, d):
+    return _gsub(_gmul(a, d), _gmul(b, c))
+
+
+def exact_twisted_power(a: Matrix2C, t: complex, p: int) -> tuple[complex, complex]:
+    """(t, det) of (a, t)**p in the twisted group, exactly, rounded once.
+
+    Every number is a Gaussian rational of Fractions.  The power is |p|
+    twisted products (A,t)(B,s) = (AB, t + s*det A) folded from the left,
+    of (a, t) or, for p < 0, of its inverse (a^-1, -t/det a); each det is
+    ad - bc of that step's matrix, never a product of dets.
+    """
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    (ma, mb, mc, md), s = (_gauss(z) for z in a.entries()), _gauss(t)
+    if p < 0:
+        det = _gdet(ma, mb, mc, md)
+        ma, mb, mc, md = (_gdiv(z, det) for z in (md, _gsub(zero, mb), _gsub(zero, mc), ma))
+        s = _gdiv(_gsub(zero, s), det)
+    xa, xb, xc, xd, xt = one, zero, zero, one, zero
+    for _ in range(abs(p)):
+        xt = _gadd(xt, _gmul(s, _gdet(xa, xb, xc, xd)))
+        xa, xb, xc, xd = (
+            _gadd(_gmul(xa, ma), _gmul(xb, mc)),
+            _gadd(_gmul(xa, mb), _gmul(xb, md)),
+            _gadd(_gmul(xc, ma), _gmul(xd, mc)),
+            _gadd(_gmul(xc, mb), _gmul(xd, md)),
+        )
+    det = _gdet(xa, xb, xc, xd)
+    return complex(float(xt[0]), float(xt[1])), complex(float(det[0]), float(det[1]))
 
 
 def rotation_power(z0: complex, alpha_value: float, k: int) -> complex:

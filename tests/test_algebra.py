@@ -176,6 +176,29 @@ class TestMatrix2C:
         with pytest.raises(InvalidInputError, match="a must be finite"):
             big @ big
 
+    @pytest.mark.parametrize(
+        "left, name",
+        [(Matrix2C(1e308, 1e308, 0, 1), "a"), (Matrix2C(1, 0, 1e308, 1e308), "c")],
+    )
+    def test_overflowing_product_names_first_bad_entry(self, left, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite, got \\(inf\\+0j\\)$"):
+            left @ Matrix2C(10, 0, 0, 1)
+
+    def test_products_and_inverses_construct_through_init(self, monkeypatch):
+        # one constructor: a path that skipped __init__ would also skip its checks
+        calls = []
+        init = Matrix2C.__init__
+
+        def counting_init(self, *entries):
+            calls.append(entries)
+            init(self, *entries)
+
+        m = Matrix2C(1.0, 2.0, 3.0, 4.0)
+        monkeypatch.setattr(Matrix2C, "__init__", counting_init)
+        product, inverse = m @ m, m.inverse()
+        assert len(calls) == 2
+        assert product.entries() == (7, 10, 15, 22) and inverse.entries() == (-2, 1, 1.5, -0.5)
+
     def test_max_norm_and_close_to(self):
         m = Matrix2C(1.0, -3.0, 0.5, 0.0)
         assert m.close_to(Matrix2C(1.0, -3.0 + 1e-12, 0.5, 0.0), 1e-9)

@@ -29,8 +29,9 @@ from teichkit import (
     trivial_structure,
     z_action,
 )
-from teichkit import atlas
+from teichkit import atlas, tolerance
 from teichkit.cli import dispatch
+from oracles import exact_twisted_power
 
 DIAG21 = Matrix2C.diag(2.0, 1.0)
 SHEAR = GroupElement(Matrix2C(1.0, 1.0, 0.0, 1.0), 1.0)
@@ -131,6 +132,44 @@ class TestGroupElements:
         g_power(GroupElement(Matrix2C.identity(), 1.0), p)
         assert len(calls) <= 2 * p.bit_length() + 1
 
+    @pytest.mark.parametrize("seed", range(120))
+    def test_power_matches_exact_oracle(self, seed):
+        # dyadic entries and twist: ad - bc is exact, so only the products round
+        rng = random.Random(seed)
+        while True:
+            a = Matrix2C(*(complex(rng.randrange(-8, 9) / 4, rng.randrange(-8, 9) / 4) for _ in range(4)))
+            if a.det != 0:
+                break
+        t = complex(rng.randrange(-8, 9) / 4, rng.randrange(-8, 9) / 4)
+        p = rng.randint(-64, 64)
+        got = g_power(GroupElement(a, t), p)
+        want_t, want_det = exact_twisted_power(a, t, p)
+        # for p < 0, 1/det a is rounded once and the power multiplies that
+        # relative error by |p|: allow 4 units of roundoff per factor
+        rel = 1e-14 if p >= 0 else 1e-14 + abs(p) * 4 * 2.0**-53
+        assert abs(got.t - want_t) <= rel * abs(want_t)
+        assert abs(got._det - want_det) <= rel * abs(want_det)
+
+    def test_power_carries_an_exact_small_det(self):
+        # det 1/4, so the 16th power has det 2**-32, exact; the quotient
+        # |ad - bc| / (|ad| + |bc|) of its entries is far below eps
+        x = g_power(GroupElement(Matrix2C(0.75, 0.5, 0.25, 0.5), 1), 16)
+        assert x._det == 2.0**-32
+        ad, bc = x.a.a * x.a.d, x.a.b * x.a.c
+        assert abs(ad - bc) < 1e-9 * (abs(ad) + abs(bc))
+
+    def test_product_det_is_carried(self):
+        x, y = GroupElement(DIAG21, 3.0), GroupElement(Matrix2C(0.0, 1.0, -4.0, 0.0), 1j)
+        assert g_mul(x, y)._det == 8 and g_mul(y, x)._det == 8
+        assert g_inverse(x)._det == 0.5 and g_identity()._det == 1
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_det_past_float_range_is_invalid_input(self, k):
+        # diag(2**k, 2**k) is finite, but its det 2**(2k) underflows to 0 or overflows
+        x, y = GroupElement(Matrix2C.diag(2.0**k, 1.0), 0j), GroupElement(Matrix2C.diag(1.0, 2.0**k), 0j)
+        with pytest.raises(InvalidInputError, match="cannot be represented"):
+            g_mul(x, y)
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=200)
     def test_associative(self, seed):
@@ -200,6 +239,18 @@ class TestZAction:
         out, err = io.StringIO(), io.StringIO()
         assert dispatch(argv, out, err) == 0, err.getvalue()
         assert json.loads(out.getvalue())["g"]["a"][0][0] == [2.0**-p, 0]
+
+    def test_accurate_small_det_is_not_singular(self):
+        # i(m)**13 has det 0.09375**13, about 4.3e-14, accurate to every
+        # printed digit; its entries are close to rank one
+        argv = [
+            "atlas", "zaction", "--p", "13", "--structure", "broken",
+            "--g", '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[1,0]}',
+            "--m", '{"a":[[[0.5,0],[0.25,0]],[[0.125,0],[0.25,0]]],"t":[0,1]}',
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch(argv, out, err) == 0, err.getvalue()
+        assert json.loads(out.getvalue())["g"]["t"][0] == pytest.approx(0.09375**13, rel=1e-12)
 
 
 class TestSourceTarget:
@@ -314,6 +365,15 @@ class TestGroupoidCheck:
             groupoid_check(trivial_structure(), samples=10, seed=0.5)
         with pytest.raises(InvalidInputError):
             groupoid_check(trivial_structure(), samples=10, tol=0.0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_wide_eps_refuses_no_twist(self, seed):
+        # a broken twist's powers tend to rank one; with the det carried, a
+        # wide eps still finds no singular product to refuse
+        with tolerance(1e-3):
+            report = groupoid_check(broken_structure(), 20, seed)
+        by_name = {law.name: law for law in report.laws}
+        assert by_name["z-action-source-invariance"].failures == 0
 
     def test_loose_tolerance_hides_break(self):
         report = groupoid_check(broken_structure(), samples=60, seed=3, tol=1e9)

@@ -243,6 +243,12 @@ class TestErrorChannels:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_integer_past_float_range_is_exit_two(self):
+        # 401 digits: under the digit limit, but float() overflows
+        code, out, err = run(["alg", "det", "--matrix", f"[[[1{'0' * 400},0],[0,0]],[[0,0],[1,0]]]"])
+        assert (code, out) == (2, "")
+        assert err == "error: matrix[0][0] real part must be finite, got an integer past float range\n"
+
     def test_wrong_arity_is_exit_two(self):
         assert run(["tori", "reduce", "--tau", "1"])[0] == 2
 
@@ -260,10 +266,9 @@ class TestErrorChannels:
         assert time.perf_counter() - start < 1.0
         assert doc["g"] == json.loads(g)
 
-        code, out, err = run([*argv, "--structure", "broken"])
-        assert code == 1 and out == ""
-        assert "Traceback" not in err
-        assert set(json.loads(err)) == {"error", "message"}
+        # the broken twist's det 0.125**p underflows to 0: a limit of
+        # representation, not a singular matrix
+        self.assert_json_error([*argv, "--structure", "broken"], "invalid_input")
 
     def assert_json_error(self, argv, error):
         code, out, err = run(argv)

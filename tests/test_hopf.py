@@ -19,10 +19,12 @@ from teichkit import (
     biholomorphic,
     class_equal,
     classify,
+    eigen2,
     is_contracting,
     resonance_order,
     tolerance,
 )
+from teichkit.tolerance import inside_unit
 from oracles import brute_resonance_order, random_conjugator, random_contracting, random_dyadic_jordan
 
 JORDAN = Matrix2C(0.5, 1.0, 0.0, 0.5)
@@ -44,6 +46,25 @@ class TestIsContracting:
     def test_complex_spectrum(self):
         rot = Matrix2C(0.0, -0.5, 0.5, 0.0)  # eigenvalues +-0.5i
         assert is_contracting(rot)
+
+    @given(st.integers(min_value=0, max_value=10**6), st.floats(0.05, 1.2), st.floats(0.05, 1.2))
+    @settings(max_examples=150)
+    def test_decides_on_eigen2_moduli(self, seed, r1, r2):
+        rng = random.Random(seed)
+        lam1, lam2 = cmath.rect(r1, rng.uniform(0, 2 * math.pi)), cmath.rect(r2, rng.uniform(0, 2 * math.pi))
+        basis = random_conjugator(rng)
+        m = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
+        l1, l2, _ = eigen2(m)
+        assert is_contracting(m) == (inside_unit(abs(l1)) and inside_unit(abs(l2)))
+
+    @pytest.mark.parametrize("entries", [(1e200, 0, 0, 1e200), (1e308, 0, 0, 1e308)])
+    def test_overflowing_det_raises_as_eigen2(self, entries):
+        m = Matrix2C(*entries)
+        with pytest.raises(InvalidInputError) as want:
+            eigen2(m)
+        with pytest.raises(InvalidInputError) as got:
+            is_contracting(m)
+        assert str(got.value) == str(want.value) == "d must be finite, got (inf+0j)"
 
 
 class TestResonanceOrder:

@@ -28,6 +28,7 @@ from teichkit import (
     ResonantForm,
     TorusTranslation,
     g_identity,
+    g_power,
 )
 from teichkit.algebra import Value
 
@@ -161,6 +162,23 @@ def test_copy_deepcopy_and_pickle_round_trip(cls, kwargs, text):
         assert [getattr(twin, name) for name in kwargs] == [getattr(value, name) for name in kwargs]
         with pytest.raises(AttributeError):
             twin.extra = 0
+
+
+def test_carried_det_is_not_a_field():
+    # two elements with the same fields and different carried dets
+    a = Matrix2C(2, 0, 0, 1)
+    x, y = GroupElement(a, 1j), GroupElement._derived(a, 1j, 3 + 0j)
+    assert (x._det, y._det) == (2, 3)
+    assert repr(x) == repr(y) == "GroupElement(a=Matrix2C(a=(2+0j), b=0j, c=0j, d=(1+0j)), t=1j)"
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert GroupElement._fields == ("a", "t")
+
+
+def test_carried_det_survives_copy_deepcopy_and_pickle():
+    x = g_power(GroupElement(Matrix2C(0.75, 0.5, 0.25, 0.5), 1), 16)
+    assert x._det == 2.0**-32  # det 1/4, exact in every product
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin == x and twin._det == x._det
 
 
 def test_defaults_and_keywords():
