@@ -278,7 +278,11 @@ class IntMatrix2(Value):
     d: int
 
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
-        self.__dict__.update(a=_ensure_int(a, "a"), b=_ensure_int(b, "b"), c=_ensure_int(c, "c"), d=_ensure_int(d, "d"))
+        # Four exact ints, as every product has, are stored as they are; any
+        # other entry is checked in a, b, c, d order, so the first bad one raises.
+        if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+            a, b, c, d = _ensure_int(a, "a"), _ensure_int(b, "b"), _ensure_int(c, "c"), _ensure_int(d, "d")
+        self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @staticmethod
     def identity() -> "IntMatrix2":

@@ -117,11 +117,13 @@ def classify(data: ContractionInput) -> HopfClass:
     gives Resonant(lam, 1).  A resonant form with c = 0 is linear diagonal
     with eigenvalues (lam, lam**p); with c != 0 the class is Resonant(lam, p)
     independently of c (conjugating by (z, w) -> (c*z, w) rescales c to 1).
+    A matrix's roots are solved once, by eigen2, and their moduli tested as
+    is_contracting tests them.
     """
     if isinstance(data, Matrix2C):
-        if not is_contracting(data):
-            raise NotContractingError("matrix eigenvalue moduli must lie in (0, 1)")
         l1, l2, diagonalizable = eigen2(data)
+        if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
+            raise NotContractingError("matrix eigenvalue moduli must lie in (0, 1)")
         if diagonalizable:
             return Diagonal(l1, l2)
         return Resonant(l1, 1)

@@ -47,11 +47,7 @@ class QuadraticIrrational(Value):
     def canonical_key(self) -> tuple[int, int, int, int]:
         """(a, b, c, s): content-1 minimal polynomial a*x**2 + b*x + c with
         a > 0, plus the sign of the sqrt branch.  Equal numbers share keys."""
-        a = self.q * self.q
-        b = -2 * self.p * self.q
-        c = self.p * self.p - self.d
-        g = math.gcd(math.gcd(a, b), c)
-        return (a // g, b // g, c // g, 1 if self.q > 0 else -1)
+        return _key(self.p, self.q, self.d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuadraticIrrational):
@@ -65,16 +61,25 @@ class QuadraticIrrational(Value):
         return (self.p + math.sqrt(self.d)) / self.q
 
     def __floor__(self) -> int:
-        return _surd_floor(self.p, self.q, self.d)
+        return _surd_floor(self.p, self.q, math.isqrt(self.d))
 
     def __str__(self) -> str:
         return f"({self.p}+sqrt({self.d}))/{self.q}"
 
 
-def _surd_floor(p: int, q: int, d: int) -> int:
-    """Exact floor of (p + sqrt(d)) / q; d non-square so the value is never
-    an integer boundary case."""
-    s = math.isqrt(d)
+def _key(p: int, q: int, d: int) -> tuple[int, int, int, int]:
+    """canonical_key of the state (p, q, d), which must satisfy q | d - p**2
+    so that QuadraticIrrational(p, q, d) stores it unscaled."""
+    a = q * q
+    b = -2 * p * q
+    c = p * p - d
+    g = math.gcd(a, b, c)
+    return (a // g, b // g, c // g, 1 if q > 0 else -1)
+
+
+def _surd_floor(p: int, q: int, s: int) -> int:
+    """Exact floor of (p + sqrt(d)) / q, given s = isqrt(d); d non-square
+    so the value is never an integer boundary case."""
     if q > 0:
         return (p + s) // q
     return -((p + s) // (-q)) - 1
@@ -84,24 +89,25 @@ def _expansion_states(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int
     """Run the continued-fraction recursion until a surd state repeats.
 
     Returns (quotients, states, cycle_start).  The state (p, q) determines
-    its successor, so the first repeated state marks the exact cycle.
+    its successor, so the first repeated state marks the exact cycle.  Each
+    state keeps the invariant q | d - p**2 of x: p' = a*q - p keeps d - p'**2
+    = d - p**2 mod q, so q' = (d - p'**2) / q is exact and q' | d - p'**2.
     """
     p, q, d = x.p, x.q, x.d
+    s = math.isqrt(d)
     seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
-    states: list[tuple[int, int]] = []
     while (p, q) not in seen:
         if len(quotients) > _MAX_CF_STEPS:
             raise LimitExceededError(
                 f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients"
             )
         seen[(p, q)] = len(quotients)
-        states.append((p, q))
-        a = _surd_floor(p, q, d)
+        a = _surd_floor(p, q, s)
         p = a * q - p
         q = (d - p * p) // q
         quotients.append(a)
-    return quotients, states, seen[(p, q)]
+    return quotients, list(seen), seen[(p, q)]
 
 
 def continued_fraction_expansion(
@@ -117,13 +123,11 @@ def periodic_state_keys(x: QuadraticIrrational) -> frozenset[tuple[int, int, int
 
     Two quadratic irrationals have a common continued-fraction tail exactly
     when these sets intersect (the expansion of a number is unique, so one
-    shared complete quotient forces identical tails from there on).
+    shared complete quotient forces identical tails from there on).  A state
+    keeps the invariant q | d - p**2, so its key needs no rescale.
     """
-    quotients, states, k = _expansion_states(x)
-    d = x.d
-    return frozenset(
-        QuadraticIrrational(p, q, d).canonical_key() for p, q in states[k:]
-    )
+    _, states, k = _expansion_states(x)
+    return frozenset(_key(p, q, x.d) for p, q in states[k:])
 
 
 def moebius_surd(m: IntMatrix2, x: QuadraticIrrational) -> QuadraticIrrational:

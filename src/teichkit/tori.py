@@ -53,18 +53,20 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
     while |tau| < 1.  Terminates because the imaginary part strictly grows
     on every inversion.  The witness A is exact in SL2(Z) and satisfies
     moebius(A, tau) = tau*; reduction is idempotent on interior points.
+    A is kept as four exact ints, left-multiplied in place by T**-n and S,
+    and one IntMatrix2 is built at the end.
     """
     eps = resolve()
     tau = require_upper_half(tau)
-    acc = IntMatrix2.identity()
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(_MAX_REDUCE_STEPS):
         n = math.floor(tau.real + 0.5)
         if n:
             tau = tau - n
-            acc = translation_matrix(-n) @ acc
+            a, b = a - n * c, b - n * d
         if abs(tau) < 1.0 - eps:
             tau = -1.0 / tau
-            acc = S @ acc
+            a, b, c, d = -c, -d, a, b
         else:
             break
     else:
@@ -72,11 +74,11 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
     # glue boundary representatives to the canonical side
     if abs(abs(tau) - 1.0) <= eps and tau.real > eps:
         tau = -1.0 / tau
-        acc = S @ acc
+        a, b, c, d = -c, -d, a, b
     if tau.real >= 0.5 - eps:
         tau = tau - 1
-        acc = translation_matrix(-1) @ acc
-    return tau, acc
+        a, b = a - c, b - d
+    return tau, IntMatrix2(a, b, c, d)
 
 
 def tori_equivalent(tau1: complex, tau2: complex) -> IntMatrix2 | None:

@@ -1,7 +1,10 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (exhaustive search, direct formulas)
-and shares no algorithmic structure with the library paths it checks.
+and shares no algorithmic structure with the library paths it checks, save
+two step-by-step replays, letter_reduction and surd_cycle: they take the
+library's steps but build a validated value object at every step, where the
+library keeps plain integers.
 """
 
 from __future__ import annotations
@@ -94,6 +97,59 @@ def tori_witness_search(tau1: complex, tau2: complex, box: int = 50, tol: float 
             if abs(moebius(m, tau1) - tau2) <= tol:
                 return m
     return None
+
+
+def letter_reduction(tau: complex, eps: float = 1e-9, max_steps: int = 2000) -> tuple[complex, IntMatrix2]:
+    """Gauss reduction of tau with its witness folded letter by letter.
+
+    The float steps are those of reduce_fundamental_domain, boundary glueing
+    included, so the reduced point must come out identical.  The witness is
+    an independent fold: each step left-multiplies the IntMatrix2 letter it
+    applied, T**-n for a translation and S for an inversion, onto the
+    running product.
+    """
+    s = IntMatrix2(0, -1, 1, 0)
+    witness = IntMatrix2(1, 0, 0, 1)
+    for _ in range(max_steps):
+        n = math.floor(tau.real + 0.5)
+        if n:
+            tau = tau - n
+            witness = IntMatrix2(1, -n, 0, 1) @ witness
+        if abs(tau) >= 1.0 - eps:
+            break
+        tau = -1.0 / tau
+        witness = s @ witness
+    else:
+        raise RuntimeError("letter reduction did not terminate")
+    if abs(abs(tau) - 1.0) <= eps and tau.real > eps:
+        tau = -1.0 / tau
+        witness = s @ witness
+    if tau.real >= 0.5 - eps:
+        tau = tau - 1
+        witness = IntMatrix2(1, -1, 0, 1) @ witness
+    return tau, witness
+
+
+def surd_cycle(x: QuadraticIrrational) -> tuple[list[int], int, frozenset]:
+    """(quotients, cycle start, keys of the periodic complete quotients) of x.
+
+    The state recursion of the continued fraction, with every complete
+    quotient built as a QuadraticIrrational: its partial quotient is that
+    value's floor and its key that value's canonical_key.
+    """
+    p, q, d = x.p, x.q, x.d
+    seen: dict[tuple[int, int], int] = {}
+    quotients, keys = [], []
+    while (p, q) not in seen:
+        seen[(p, q)] = len(quotients)
+        state = QuadraticIrrational(p, q, d)
+        keys.append(state.canonical_key())
+        a = math.floor(state)
+        quotients.append(a)
+        p = a * q - p
+        q = (d - p * p) // q
+    k = seen[(p, q)]
+    return quotients, k, frozenset(keys[k:])
 
 
 def surd_witness_search(x: QuadraticIrrational, y: QuadraticIrrational, box: int = 20) -> IntMatrix2 | None:

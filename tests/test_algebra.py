@@ -1,7 +1,9 @@
 """Scalar kernels and 2x2 matrix types."""
 
 import cmath
+import enum
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +307,27 @@ class TestIntMatrix2:
             IntMatrix2(1.0, 0, 0, 1)
         with pytest.raises(InvalidInputError):
             IntMatrix2(True, 0, 0, 1)
+
+    @pytest.mark.parametrize("later", [None, 2.5])
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    @pytest.mark.parametrize("index", range(4))
+    def test_names_the_first_bad_entry(self, bad, index, later):
+        entries = [1, 0, 0, 1]
+        entries[index] = bad
+        if later is not None:
+            entries[index + 1:] = [later] * (3 - index)
+        message = f"^{'abcd'[index]} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            IntMatrix2(*entries)
+
+    def test_int_subclass_is_stored_as_given(self):
+        class Sign(enum.IntEnum):
+            MINUS = -1
+            PLUS = 1
+
+        m = IntMatrix2(Sign.PLUS, 0, 0, Sign.MINUS)
+        assert m.a is Sign.PLUS and m.d is Sign.MINUS
+        assert m.det() == -1 and m.rows() == ((1, 0), (0, -1))
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=100)

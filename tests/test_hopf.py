@@ -24,6 +24,7 @@ from teichkit import (
     resonance_order,
     tolerance,
 )
+from teichkit import algebra, hopf
 from teichkit.tolerance import inside_unit
 from oracles import brute_resonance_order, random_conjugator, random_contracting, random_dyadic_jordan
 
@@ -149,6 +150,40 @@ class TestClassify:
     def test_rejects_other_types(self):
         with pytest.raises(InvalidInputError):
             classify("diag(0.5, 0.25)")
+
+    def test_matrix_roots_are_solved_once(self, monkeypatch):
+        calls = []
+        roots = algebra._roots
+
+        def counting_roots(d, t):
+            calls.append((d, t))
+            return roots(d, t)
+
+        monkeypatch.setattr(algebra, "_roots", counting_roots)
+        monkeypatch.setattr(hopf, "_roots", counting_roots)
+        rng = random.Random(5)
+        for m in (JORDAN, Matrix2C.diag(0.3, 0.5), random_contracting(rng), random_dyadic_jordan(rng)):
+            calls.clear()
+            classify(m)
+            assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(NotContractingError, match=r"^matrix eigenvalue moduli must lie in \(0, 1\)$"):
+            classify(Matrix2C.diag(1.5, 0.5))
+        assert len(calls) == 1
+
+    @given(st.integers(min_value=0, max_value=10**6), st.floats(0.0, 1.2), st.floats(0.0, 1.2))
+    @settings(max_examples=150, deadline=None)
+    def test_refuses_exactly_what_is_not_contracting(self, seed, r1, r2):
+        rng = random.Random(seed)
+        lam1, lam2 = cmath.rect(r1, rng.uniform(0, 2 * math.pi)), cmath.rect(r2, rng.uniform(0, 2 * math.pi))
+        basis = random_conjugator(rng)
+        m = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
+        if is_contracting(m):
+            l1, l2, diagonalizable = eigen2(m)
+            assert classify(m) == (Diagonal(l1, l2) if diagonalizable else Resonant(l1, 1))
+        else:
+            with pytest.raises(NotContractingError):
+                classify(m)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=150, deadline=None)

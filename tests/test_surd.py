@@ -13,10 +13,12 @@ from teichkit import (
     QuadraticIrrational,
     SingularMatrixError,
     continued_fraction_expansion,
+    morita_equivalent,
     moebius_surd,
     periodic_state_keys,
 )
-from oracles import random_unimodular
+from teichkit.surd import _expansion_states, _key
+from oracles import random_unimodular, surd_cycle
 
 SQRT2 = QuadraticIrrational(0, 1, 2)
 GOLDEN = QuadraticIrrational(1, 2, 5)
@@ -147,6 +149,66 @@ class TestPeriodicStateKeys:
 
     def test_purely_periodic_contains_self(self):
         assert GOLDEN.canonical_key() in periodic_state_keys(GOLDEN)
+
+
+# the (p, q, d) grid of the benchmark's kernels workload, copied
+GRID = [(p, q, d) for d in (2, 3, 5, 6, 7, 10, 11, 13) for p in range(-3, 4) for q in (1, 2, 3, -2)]
+
+
+def grid_and_images() -> list[QuadraticIrrational]:
+    """The grid's surds, then seeded Moebius images of them under GL2(Z)."""
+    rng = random.Random(20261019)
+    surds = [QuadraticIrrational(*s) for s in GRID]
+    images = []
+    while len(images) < 200:
+        m = IntMatrix2(*(rng.randint(-5, 5) for _ in range(4)))
+        if m.det() in (1, -1):
+            images.append(moebius_surd(m, rng.choice(surds)))
+    return surds + images
+
+
+class TestCycleStates:
+    def test_states_keep_the_invariant_and_key(self):
+        for x in grid_and_images():
+            _, states, _ = _expansion_states(x)
+            for p, q in states:
+                assert (x.d - p * p) % q == 0
+                state = QuadraticIrrational(p, q, x.d)
+                assert (state.p, state.q, state.d) == (p, q, x.d)
+                key = _key(p, q, x.d)
+                assert key == state.canonical_key()
+                # a content-1 multiple of q*q*X**2 - 2*p*q*X + p*p - d, leading
+                # coefficient positive, and the sign of q
+                a, b, c, sign = key
+                assert a > 0 and math.gcd(a, b, c) == 1 and sign == (1 if q > 0 else -1)
+                assert a * -2 * p * q == b * q * q and a * (p * p - x.d) == c * q * q
+
+    def test_matches_state_by_state_reference(self):
+        for x in grid_and_images():
+            quotients, k, keys = surd_cycle(x)
+            assert continued_fraction_expansion(x) == (tuple(quotients[:k]), tuple(quotients[k:]))
+            assert periodic_state_keys(x) == keys
+
+    def test_morita_matches_reference_on_the_grid(self):
+        surds = grid_and_images()
+        keys = [surd_cycle(x)[2] for x in surds]
+        for x, kx in zip(surds[: len(GRID)], keys):
+            for y, ky in zip(surds, keys):
+                assert morita_equivalent(x, y) == bool(kx & ky), (x, y)
+
+    def test_keys_build_no_surd(self, monkeypatch):
+        calls = []
+        init = QuadraticIrrational.__init__
+
+        def counting_init(self, *fields):
+            calls.append(fields)
+            init(self, *fields)
+
+        surds = grid_and_images()
+        monkeypatch.setattr(QuadraticIrrational, "__init__", counting_init)
+        for x in surds:
+            periodic_state_keys(x)
+        assert calls == []
 
 
 class TestMoebiusSurd:

@@ -24,10 +24,12 @@ from teichkit import (
     neighborhood_contains,
     point_of_class,
     points_equal,
+    quadratic_roots,
     separated,
     tolerance,
     twin,
 )
+from teichkit.tolerance import inside_unit
 
 
 def random_curve_point(rng, orders=(1, 2, 3, 4, 5, 6)):
@@ -50,6 +52,37 @@ class TestBaseDomain:
         assert in_base_domain(0.01, 0.2)
         with tolerance(0.11):
             assert not in_base_domain(0.01, 0.2)
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=200)
+    def test_decides_on_quadratic_roots_moduli(self, seed):
+        rng = random.Random(seed)
+        scale = 10 ** rng.uniform(-3, 1)
+        det = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+        trace = complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) * scale
+        r1, r2 = quadratic_roots(det, trace)
+        want = inside_unit(abs(r1)) and inside_unit(abs(r2))
+        assert in_base_domain(det, trace) == want
+        if det.imag == 0.0 and trace.imag == 0.0:
+            assert in_base_domain(det.real, trace.real) == want
+
+    @pytest.mark.parametrize(
+        "det, trace",
+        [
+            ("0.25", 1.0),
+            (0.25, True),
+            (None, 1.0),
+            (complex("nan"), 1.0),
+            (0.25 + 0j, complex(math.inf, 0.0)),
+            (0.25 + 0j, 1.5e308 + 1.5e308j),
+        ],
+    )
+    def test_refuses_what_quadratic_roots_refuses(self, det, trace):
+        with pytest.raises(InvalidInputError) as want:
+            quadratic_roots(det, trace)
+        with pytest.raises(InvalidInputError) as got:
+            in_base_domain(det, trace)
+        assert str(got.value) == str(want.value)
 
     def test_base_point_validation(self):
         with pytest.raises(InvalidPointError):

@@ -18,12 +18,13 @@ from teichkit import (
     lattice_reduce,
     moebius,
     reduce_fundamental_domain,
+    tolerance,
     tori_equivalent,
     translation_compose,
     translation_matrix,
     zero_translation,
 )
-from oracles import fundamental_domain_point, random_unimodular, tori_witness_search
+from oracles import fundamental_domain_point, letter_reduction, random_unimodular, tori_witness_search
 
 EPS = 1e-9
 
@@ -133,6 +134,43 @@ class TestReduce:
             reduced, _ = reduce_fundamental_domain(tau)
             want = fundamental_domain_point(tau, box=30)
             assert reduced == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
+def witness_cases() -> list[complex]:
+    """Seeded taus of every scale, plus the boundary and extreme points."""
+    rng = random.Random(20261019)
+    cases = [complex(rng.uniform(-5, 5), 10 ** rng.uniform(-300, 3)) for _ in range(300)]
+    cases += [moebius(random_unimodular(rng, 8), complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3.0))) for _ in range(100)]
+    cases += [complex(edge, rng.uniform(0.8, 4.0)) for edge in (-0.5, 0.5) for _ in range(20)]
+    arc = [math.pi / 3, math.pi / 2, 2 * math.pi / 3] + [rng.uniform(math.pi / 3, 2 * math.pi / 3) for _ in range(30)]
+    cases += [complex(math.cos(theta), math.sin(theta)) for theta in arc]
+    cases += [complex(sign * 1e300 + shift, im) for sign in (1, -1) for shift in (0.0, 1e284) for im in (1e-300, 0.5, 1.0, 1e5)]
+    cases += [complex(re, 1e-300) for re in (0.0, 0.1, -0.3, 0.5, 1 / 3, rng.uniform(-1, 1))]
+    return cases
+
+
+class TestReductionWitness:
+    @pytest.mark.parametrize("eps", [EPS, 1e-3])
+    def test_matches_letter_by_letter_reduction(self, eps):
+        with tolerance(eps):
+            for tau in witness_cases():
+                got = reduce_fundamental_domain(tau)
+                assert got == letter_reduction(tau, eps), tau
+                assert got[1].det() == 1
+
+    def test_builds_one_int_matrix(self, monkeypatch):
+        calls = []
+        init = IntMatrix2.__init__
+
+        def counting_init(self, *entries):
+            calls.append(entries)
+            init(self, *entries)
+
+        monkeypatch.setattr(IntMatrix2, "__init__", counting_init)
+        for tau in witness_cases():
+            calls.clear()
+            reduce_fundamental_domain(tau)
+            assert len(calls) == 1, tau
 
 
 class TestEquivalence:
