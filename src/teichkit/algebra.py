@@ -232,10 +232,7 @@ class Matrix2C(Value):
         )
 
     def inverse(self) -> "Matrix2C":
-        det = self.det
-        if within(det):
-            raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
-        return Matrix2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
+        return Matrix2C(*_inverse_entries(self.a, self.b, self.c, self.d))
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
@@ -247,6 +244,20 @@ class Matrix2C(Value):
             and abs(self.c - other.c) <= tol
             and abs(self.d - other.d) <= tol
         )
+
+
+def _inverse_entries(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex, complex, complex]:
+    """The entries of the inverse of [[a, b], [c, d]], for complex entries.
+
+    The one singularity test of complex matrices: SingularMatrixError when
+    the det ad - bc is zero within the tolerance in force, an absolute test.
+    Matrix2C.inverse builds its matrix from these entries; a caller that
+    multiplies the inverse further takes them as plain values.
+    """
+    det = a * d - b * c
+    if within(det):
+        raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
+    return d / det, -b / det, -c / det, a / det
 
 
 def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:

@@ -5,12 +5,15 @@ the twist is a group law because det is multiplicative.  So each element
 carries its det: outside input computes ad - bc once and is refused when
 singular relative to |ad| + |bc|, while a product or an inverse takes its
 det from its operands and is refused only when that det underflows to 0 or
-it or the twist overflows (see GroupElement).  M is the set of pairs (A,t)
-with A contracting.  The stack atlas additionally needs an action of G on M
-and an injection of M into G whose explicit formulas are not pinned down
-here; both are therefore caller-supplied plugins, and groupoid_check
-validates a supplied pair against the laws the construction needs instead
-of trusting it.
+it or the twist overflows (see GroupElement); an inverse's matrix is the
+adjugate divided by that carried det.  M is the set of pairs (A,t) with A
+contracting.  The stack atlas additionally needs an action of G on M and an
+injection of M into G whose explicit formulas are not pinned down here; both
+are therefore caller-supplied plugins, and groupoid_check validates a
+supplied pair against the laws the construction needs instead of trusting
+it, on samples drawn from a seeded random.Random: each coordinate is the
+value rng.uniform would give, computed on plain complex values, with one
+matrix built per drawn point or element.
 
 Two named structures ship with the module: the trivial one (action fixes m,
 injection is constant identity), which satisfies every law, and a broken
@@ -25,7 +28,7 @@ import cmath
 import random
 from typing import Callable
 
-from .algebra import Matrix2C, Value, ensure_finite, ensure_real
+from .algebra import _TWO_PI, Matrix2C, Value, _inverse_entries, ensure_finite, ensure_real
 from .errors import (
     InvalidInputError,
     LimitExceededError,
@@ -106,9 +109,13 @@ def g_mul(x: GroupElement, y: GroupElement) -> GroupElement:
 def g_inverse(x: GroupElement) -> GroupElement:
     """(A,t)^-1 = (A^-1, -t / det A), the unique two-sided inverse.
 
-    A^-1 is Matrix2C.inverse, whose singularity test is still absolute.
+    A^-1 is the adjugate of A divided by the carried det A, which for outside
+    input is ad - bc bit for bit, and for a product is more accurate than a
+    det recomputed from its entries.  Like g_mul it tests no singularity: it
+    refuses only a result that floats cannot represent.
     """
-    return GroupElement._derived(x.a.inverse(), -x.t / x._det, 1 / x._det)
+    a, det = x.a, x._det
+    return GroupElement._derived(Matrix2C(a.d / det, -a.b / det, -a.c / det, a.a / det), -x.t / det, 1 / det)
 
 
 def g_power(x: GroupElement, p: int) -> GroupElement:
@@ -159,10 +166,25 @@ def broken_structure() -> AtlasStructure:
     contracting property, so the action laws hold; but i(m) = (shear * Am, 0)
     does not commute with Am, so target(i(m)^p * g, m) differs from
     target(g, m) for generic inputs and the integer-twist invariance fails.
+    The action computes g.a.inverse() @ (m.a @ g.a) on plain complex values,
+    the same float operations in the same order, and builds one matrix.
     """
 
     def act(m: AtlasPoint, g: GroupElement) -> AtlasPoint:
-        return AtlasPoint(g.a.inverse() @ (m.a @ g.a), m.t)
+        x, y = g.a, m.a
+        xa, xb, xc, xd = x.a, x.b, x.c, x.d
+        ia, ib, ic, id_ = _inverse_entries(xa, xb, xc, xd)
+        ya, yb, yc, yd = y.a, y.b, y.c, y.d
+        pa, pb = ya * xa + yb * xc, ya * xb + yb * xd
+        pc, pd = yc * xa + yd * xc, yc * xb + yd * xd
+        try:
+            a = Matrix2C(ia * pa + ib * pc, ia * pb + ib * pd, ic * pa + id_ * pc, ic * pb + id_ * pd)
+        except InvalidInputError:
+            # An entry is not finite, so neither is some matrix of the stepwise
+            # product: refuse with the error of the first such matrix.
+            x.inverse() @ (y @ x)
+            raise
+        return AtlasPoint(a, m.t)
 
     def inj(m: AtlasPoint) -> GroupElement:
         return GroupElement(_SHEAR @ m.a, 0j)
@@ -241,26 +263,44 @@ def _points_close(x: AtlasPoint, y: AtlasPoint, tol: float) -> bool:
     return x.a.close_to(y.a, tol) and abs(x.t - y.t) <= tol
 
 
-def _draw_complex(rng: random.Random, radius: float) -> complex:
-    return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
+# The draws below take each coordinate as lo + span * rng.random(), which is
+# what rng.uniform(lo, lo + span) computes, so they read the same stream and
+# give the same values; each works on plain complex values and builds one
+# matrix for the element or point it returns.
 
 
 def _draw_group_element(rng: random.Random) -> GroupElement:
+    """Entries in the box of radius 1.5, |det| >= 0.2; twist in radius 2."""
+    r = rng.random
     while True:
-        a = Matrix2C(*(_draw_complex(rng, 1.5) for _ in range(4)))
-        if abs(a.det) >= 0.2:
-            return GroupElement(a, _draw_complex(rng, 2.0))
+        a = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
+        b = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
+        c = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
+        d = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
+        if abs(a * d - b * c) >= 0.2:
+            return GroupElement(Matrix2C(a, b, c, d), complex(-2.0 + 4.0 * r(), -2.0 + 4.0 * r()))
 
 
 def _draw_atlas_point(rng: random.Random) -> AtlasPoint:
-    lam1 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
-    lam2 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
+    """basis @ (diag(lam1, lam2) @ basis.inverse()), eigenvalue moduli in
+    [0.25, 0.8], basis entries in the unit box with |det| >= 0.4; twist in
+    radius 2.  The diagonal's zero entries are multiplied as 0j, as
+    Matrix2C.diag's are, so signed zeros come out as the matrix product's."""
+    r = rng.random
+    lam1 = cmath.rect(0.25 + (0.8 - 0.25) * r(), _TWO_PI * r())
+    lam2 = cmath.rect(0.25 + (0.8 - 0.25) * r(), _TWO_PI * r())
     while True:
-        basis = Matrix2C(*(_draw_complex(rng, 1.0) for _ in range(4)))
-        if abs(basis.det) >= 0.4:
+        a = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        b = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        c = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        d = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
+        if abs(a * d - b * c) >= 0.4:
             break
-    a = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
-    return AtlasPoint(a, _draw_complex(rng, 2.0))
+    ia, ib, ic, id_ = _inverse_entries(a, b, c, d)
+    ea, eb = lam1 * ia + 0j * ic, lam1 * ib + 0j * id_
+    ec, ed = 0j * ia + lam2 * ic, 0j * ib + lam2 * id_
+    m = Matrix2C(a * ea + b * ec, a * eb + b * ed, c * ea + d * ec, c * eb + d * ed)
+    return AtlasPoint(m, complex(-2.0 + 4.0 * r(), -2.0 + 4.0 * r()))
 
 
 def groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0, tol: float = 1e-6) -> CheckReport:

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (exhaustive search, direct formulas)
 and shares no algorithmic structure with the library paths it checks, save
-two step-by-step replays, letter_reduction and surd_cycle: they take the
-library's steps but build a validated value object at every step, where the
-library keeps plain integers.
+the step-by-step replays letter_reduction, surd_cycle and the stepwise_*
+atlas draws and action: they take the library's steps but build a validated
+value object at every step, where the library keeps plain numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from teichkit import IntMatrix2, Matrix2C, QuadraticIrrational, moebius, moebius_surd
+from teichkit import AtlasPoint, GroupElement, IntMatrix2, Matrix2C, QuadraticIrrational, moebius, moebius_surd
 
 
 def brute_resonance_order(big: complex, small: complex, eps: float, max_order: int = 64) -> int | None:
@@ -207,14 +207,8 @@ def _gdet(a, b, c, d):
     return _gsub(_gmul(a, d), _gmul(b, c))
 
 
-def exact_twisted_power(a: Matrix2C, t: complex, p: int) -> tuple[complex, complex]:
-    """(t, det) of (a, t)**p in the twisted group, exactly, rounded once.
-
-    Every number is a Gaussian rational of Fractions.  The power is |p|
-    twisted products (A,t)(B,s) = (AB, t + s*det A) folded from the left,
-    of (a, t) or, for p < 0, of its inverse (a^-1, -t/det a); each det is
-    ad - bc of that step's matrix, never a product of dets.
-    """
+def _exact_fold(a: Matrix2C, t: complex, p: int) -> tuple:
+    """The matrix entries and twist of (a, t)**p, as exact Gaussian rationals."""
     one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
     (ma, mb, mc, md), s = (_gauss(z) for z in a.entries()), _gauss(t)
     if p < 0:
@@ -230,8 +224,55 @@ def exact_twisted_power(a: Matrix2C, t: complex, p: int) -> tuple[complex, compl
             _gadd(_gmul(xc, ma), _gmul(xd, mc)),
             _gadd(_gmul(xc, mb), _gmul(xd, md)),
         )
-    det = _gdet(xa, xb, xc, xd)
-    return complex(float(xt[0]), float(xt[1])), complex(float(det[0]), float(det[1]))
+    return xa, xb, xc, xd, xt
+
+
+def _round(z) -> complex:
+    return complex(float(z[0]), float(z[1]))
+
+
+def exact_twisted_power(a: Matrix2C, t: complex, p: int) -> tuple[complex, complex]:
+    """(t, det) of (a, t)**p in the twisted group, exactly, rounded once.
+
+    Every number is a Gaussian rational of Fractions.  The power is |p|
+    twisted products (A,t)(B,s) = (AB, t + s*det A) folded from the left,
+    of (a, t) or, for p < 0, of its inverse (a^-1, -t/det a); each det is
+    ad - bc of that step's matrix, never a product of dets.
+    """
+    xa, xb, xc, xd, xt = _exact_fold(a, t, p)
+    return _round(xt), _round(_gdet(xa, xb, xc, xd))
+
+
+def exact_matrix_power(a: Matrix2C, p: int) -> tuple[complex, complex, complex, complex]:
+    """The entries of a**p, exactly, each rounded once; for p < 0 the power
+    of the exact inverse, which is the exact inverse of a**|p|."""
+    return tuple(_round(z) for z in _exact_fold(a, 0j, p)[:4])
+
+
+def stepwise_group_element(rng: random.Random) -> GroupElement:
+    """atlas._draw_group_element as rng.uniform and one Matrix2C per draw."""
+    while True:
+        a = Matrix2C(*(random_complex(rng, 1.5) for _ in range(4)))
+        if abs(a.det) >= 0.2:
+            return GroupElement(a, random_complex(rng, 2.0))
+
+
+def stepwise_atlas_point(rng: random.Random) -> AtlasPoint:
+    """atlas._draw_atlas_point as rng.uniform and one Matrix2C operation
+    per step: the basis, the diagonal, the inverse and two products."""
+    lam1 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
+    lam2 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
+    while True:
+        basis = Matrix2C(*(random_complex(rng, 1.0) for _ in range(4)))
+        if abs(basis.det) >= 0.4:
+            break
+    a = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
+    return AtlasPoint(a, random_complex(rng, 2.0))
+
+
+def stepwise_broken_action(m: AtlasPoint, g: GroupElement) -> AtlasPoint:
+    """The broken structure's action as three Matrix2C operations."""
+    return AtlasPoint(g.a.inverse() @ (m.a @ g.a), m.t)
 
 
 def rotation_power(z0: complex, alpha_value: float, k: int) -> complex:

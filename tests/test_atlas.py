@@ -31,7 +31,7 @@ from teichkit import (
 )
 from teichkit import atlas, tolerance
 from teichkit.cli import dispatch
-from oracles import exact_twisted_power
+from oracles import exact_matrix_power, exact_twisted_power
 
 DIAG21 = Matrix2C.diag(2.0, 1.0)
 SHEAR = GroupElement(Matrix2C(1.0, 1.0, 0.0, 1.0), 1.0)
@@ -191,6 +191,33 @@ class TestGroupElements:
         if not 0.3 <= abs(x.a.det) <= 3.0:
             return
         assert g_close(g_mul(g_power(x, p), g_power(x, q)), g_power(x, p + q), tol=1e-5)
+
+
+class TestInverseCarriesDet:
+    """g_inverse divides the adjugate by the carried det and tests no
+    singularity of its own."""
+
+    def test_exact_small_det_is_invertible(self):
+        # det 2**-30 is below the absolute eps, but exact
+        x = g_inverse(GroupElement(Matrix2C.diag(2.0**-15, 2.0**-15), 0))
+        assert x.a.entries() == (2.0**15, 0, 0, 2.0**15) and x._det == 2.0**30
+
+    def test_inverse_of_a_power_carries_its_det(self):
+        x = g_inverse(g_power(GroupElement(Matrix2C(0.75, 0.5, 0.25, 0.5), 1), 16))
+        assert x._det == 2.0**32
+
+    def test_inverse_of_a_near_rank_one_power_is_accurate(self):
+        # the det recomputed from the entries of x**10 has lost about 1e-12
+        # relative accuracy; the carried det has not
+        a = Matrix2C(0.7, 0.3, 0.2, 0.45)
+        got = g_inverse(g_power(GroupElement(a, 1), 10)).a.entries()
+        for z, want in zip(got, exact_matrix_power(a, -10)):
+            assert abs(z - want) <= 2e-15 * abs(want)
+
+    def test_unrepresentable_inverse_is_invalid_input(self):
+        # det 1e-10 is accurate, but d / det is past float range
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            g_inverse(GroupElement(Matrix2C(1e-310, 0.0, 0.0, 1e300), 0j))
 
 
 class TestZAction:

@@ -1,0 +1,166 @@
+"""The checker's draws and the broken action against step-by-step references.
+
+The library draws and conjugates on plain complex values and builds one
+matrix at the end; oracles.stepwise_* take the same steps with rng.uniform
+and one Matrix2C operation per step.  Both must agree bit for bit, in the
+values, the random stream, every refusal and every report.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from teichkit import (
+    AtlasPoint,
+    AtlasStructure,
+    GroupElement,
+    Matrix2C,
+    broken_structure,
+    groupoid_check,
+    trivial_structure,
+)
+from teichkit import atlas, tolerance
+from oracles import stepwise_atlas_point, stepwise_broken_action, stepwise_group_element
+
+EPS_VALUES = (1e-9, 1e-3, 0.3, 1.0)
+
+
+def outcome(call, *args):
+    """repr of call(*args), or the type and message of what it raised;
+    repr tells -0.0 from 0.0, so equal outcomes are equal bit for bit."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def count_matrices(monkeypatch) -> list:
+    """Record each Matrix2C construction from here on."""
+    built, init = [], Matrix2C.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix2C, "__init__", counted)
+    return built
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+class Scripted(random.Random):
+    """A stream that returns the given numbers in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+class TestDrawsMatchReference:
+    @pytest.mark.parametrize("eps", EPS_VALUES)
+    @pytest.mark.parametrize(
+        "draw, reference",
+        [(atlas._draw_group_element, stepwise_group_element), (atlas._draw_atlas_point, stepwise_atlas_point)],
+    )
+    def test_same_values_and_stream(self, draw, reference, eps):
+        for seed in range(300):
+            fused, stepwise = random.Random(seed), random.Random(seed)
+            with tolerance(eps):
+                assert outcome(draw, fused) == outcome(reference, stepwise), seed
+            assert fused.getstate() == stepwise.getstate(), seed
+
+    def test_signed_zeros_of_exact_entries(self):
+        # real eigenvalues and a dyadic basis give entries with exact zero
+        # parts, whose signs the diagonal's 0j terms decide
+        for basis in itertools.product((0.25, 0.5, 0.75), repeat=8):
+            a, b, c, d = (complex(-1.0 + 2.0 * x, -1.0 + 2.0 * y) for x, y in zip(basis[::2], basis[1::2]))
+            if abs(a * d - b * c) < 0.4:  # a rejected basis would draw past the stream
+                continue
+            stream = (0.5, 0.0, 0.5, 0.0, *basis, 0.5, 0.5)
+            fused = outcome(atlas._draw_atlas_point, Scripted(stream))
+            assert fused == outcome(stepwise_atlas_point, Scripted(stream)), basis
+
+
+class TestBrokenActionMatchesReference:
+    act = staticmethod(broken_structure().action)
+
+    def test_entry_for_entry(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            m, g = stepwise_atlas_point(rng), stepwise_group_element(rng)
+            assert repr(self.act(m, g)) == repr(AtlasPoint(g.a.inverse() @ (m.a @ g.a), m.t))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # det 1e-10 passes the relative test but not inverse's absolute one
+            GroupElement(Matrix2C.diag(1e-5, 1e-5), 0j),
+            # the inverse's last entry overflows
+            GroupElement(Matrix2C(1e308, 0.0, 0.0, 1e-309), 0j),
+            # m.a @ g.a overflows in its second entry
+            GroupElement(Matrix2C(1.0, 0.0, 0.0, 1e308), 0j),
+            # only the last product overflows
+            GroupElement(Matrix2C.diag(1e-200, 1e200), 0j),
+        ],
+    )
+    def test_same_refusal(self, g):
+        m = AtlasPoint(Matrix2C(0.5, 4.0, 0.0, 0.25), 1j)
+        expected = outcome(stepwise_broken_action, m, g)
+        assert expected.startswith(("SingularMatrixError", "InvalidInputError"))
+        assert outcome(self.act, m, g) == expected
+
+
+class TestReportsMatchReference:
+    @pytest.mark.parametrize("eps", EPS_VALUES)
+    @pytest.mark.parametrize("name", ["trivial", "broken"])
+    def test_same_report_or_refusal(self, monkeypatch, name, eps):
+        structure = {"trivial": trivial_structure, "broken": broken_structure}[name]()
+        with tolerance(eps):
+            fused = [outcome(groupoid_check, structure, 12, seed) for seed in range(40)]
+        if name == "broken":
+            structure = AtlasStructure("broken", stepwise_broken_action, structure.injection)
+        monkeypatch.setattr(atlas, "_draw_group_element", stepwise_group_element)
+        monkeypatch.setattr(atlas, "_draw_atlas_point", stepwise_atlas_point)
+        with tolerance(eps):
+            assert fused == [outcome(groupoid_check, structure, 12, seed) for seed in range(40)]
+
+
+class TestOneMatrixPerValue:
+    def test_broken_action(self, monkeypatch):
+        rng = random.Random(3)
+        pairs = [(atlas._draw_atlas_point(rng), atlas._draw_group_element(rng)) for _ in range(50)]
+        act = broken_structure().action
+        built = count_matrices(monkeypatch)
+        for m, g in pairs:
+            act(m, g)
+        assert len(built) == len(pairs)
+
+    def test_atlas_point(self, monkeypatch):
+        rng = random.Random(5)
+        built = count_matrices(monkeypatch)
+        for _ in range(50):
+            atlas._draw_atlas_point(rng)
+        assert len(built) == 50
+
+    def test_group_element_also_after_rejected_draws(self, monkeypatch):
+        built = count_matrices(monkeypatch)
+        rejected = 0
+        for seed in range(50):
+            rng = CountingRandom(seed)
+            atlas._draw_group_element(rng)
+            # each attempt takes 8 numbers and the accepted one 2 more
+            rejected += (rng.calls - 10) // 8
+        assert rejected > 0
+        assert len(built) == 50
