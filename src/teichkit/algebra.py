@@ -186,25 +186,13 @@ class Matrix2C(Value):
         # Every matrix, products and inverses included, is checked here:
         # finite entries can multiply to inf.  Four finite complex entries,
         # as every product has, pass the first test and are stored as they
-        # are.  Four entries of exact number types are converted and tested
-        # in one pass; only any other matrix takes the per-entry path, which
-        # raises the error for the first bad entry in a, b, c, d order.
-        if (
+        # are; any other matrix takes the per-entry path, which raises the
+        # error for the first bad entry in a, b, c, d order.
+        if not (
             type(a) is complex and type(b) is complex and type(c) is complex and type(d) is complex
             and cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)
         ):
-            self.__dict__.update(a=a, b=b, c=c, d=d)
-            return
-        exact, valid = _EXACT_NUMBERS, False
-        if type(a) in exact and type(b) in exact and type(c) in exact and type(d) in exact:
-            try:
-                a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-            except OverflowError:  # an int past float range
-                pass
-            else:
-                valid = cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)
-        if not valid:
-            a, b, c, d = (ensure_finite(value, name) for name, value in zip("abcd", (a, b, c, d)))
+            a, b, c, d = ensure_finite(a, "a"), ensure_finite(b, "b"), ensure_finite(c, "c"), ensure_finite(d, "d")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @staticmethod
@@ -274,9 +262,11 @@ def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:
     return l1, l2, within(max(abs(m.a - l1), abs(m.b), abs(m.c), abs(m.d - l1)))
 
 
-def _ensure_int(v: int, name: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+def _ensure_int(v: int, what: str, positive: bool = False) -> int:
+    """v itself if it is an int other than bool, and at least 1 if positive;
+    anything else raises InvalidInputError."""
+    if not isinstance(v, int) or isinstance(v, bool) or (positive and v < 1):
+        raise InvalidInputError(f"{what} must be {'a positive' if positive else 'an'} integer, got {v!r}")
     return v
 
 

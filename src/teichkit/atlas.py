@@ -28,7 +28,7 @@ import cmath
 import random
 from typing import Callable
 
-from .algebra import _TWO_PI, Matrix2C, Value, _inverse_entries, ensure_finite, ensure_real
+from .algebra import _TWO_PI, Matrix2C, Value, _ensure_int, _inverse_entries, ensure_finite, ensure_real
 from .errors import (
     InvalidInputError,
     LimitExceededError,
@@ -126,9 +126,7 @@ def g_power(x: GroupElement, p: int) -> GroupElement:
     and then multiplying by the base on the right for a 1 bit, so x**2 is
     x*x and x**3 is (x*x)*x, the same products as a left fold.
     """
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise InvalidInputError(f"power must be an integer, got {p!r}")
-    if p == 0:
+    if _ensure_int(p, "power") == 0:
         return g_identity()
     base = x if p > 0 else g_inverse(x)
     acc = base
@@ -207,9 +205,7 @@ def structure_by_name(name: str) -> AtlasStructure:
 
 def z_action(p: int, g: GroupElement, m: AtlasPoint, structure: AtlasStructure) -> tuple[GroupElement, AtlasPoint]:
     """Integer twist p . (g, m) = (i(m)^p * g, m)."""
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise InvalidInputError(f"twist power must be an integer, got {p!r}")
-    return g_mul(g_power(structure.injection(m), p), g), m
+    return g_mul(g_power(structure.injection(m), _ensure_int(p, "twist power")), g), m
 
 
 def source(g: GroupElement, m: AtlasPoint) -> AtlasPoint:
@@ -315,12 +311,9 @@ def groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0, tol: 
     reported with the first counterexample; they are never raised.  A
     sample count above MAX_CHECK_SAMPLES raises LimitExceededError.
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
-    if samples > MAX_CHECK_SAMPLES:
+    if _ensure_int(samples, "samples", positive=True) > MAX_CHECK_SAMPLES:
         raise LimitExceededError(f"samples must be at most {MAX_CHECK_SAMPLES}, got {samples}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    _ensure_int(seed, "seed")
     tol = ensure_real(tol, "tol")
     if not tol > 0.0:
         raise InvalidInputError(f"tol must be positive, got {tol!r}")

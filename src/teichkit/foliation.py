@@ -16,7 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .algebra import Value, ensure_finite
+from .algebra import Value, _ensure_int, ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotOnCircleError
 from .surd import QuadraticIrrational, continued_fraction_expansion, periodic_state_keys
 from .tolerance import within
@@ -43,6 +43,7 @@ class ClosedLeaf(Value):
     horizontal: int
 
     def __init__(self, vertical: int, horizontal: int) -> None:
+        vertical, horizontal = _ensure_int(vertical, "vertical"), _ensure_int(horizontal, "horizontal")
         if horizontal < 1 or math.gcd(vertical, horizontal) != 1:
             raise InvalidInputError(
                 f"closed leaf needs coprime winding with horizontal >= 1, got ({vertical}, {horizontal})"
@@ -64,9 +65,7 @@ class Circle(Value):
     deck_order: int
 
     def __init__(self, deck_order: int) -> None:
-        if not isinstance(deck_order, int) or isinstance(deck_order, bool) or deck_order < 1:
-            raise InvalidInputError(f"deck_order must be a positive integer, got {deck_order!r}")
-        self.__dict__.update(deck_order=deck_order)
+        self.__dict__.update(deck_order=_ensure_int(deck_order, "deck_order", positive=True))
 
 
 class NonHausdorffQuotient(Value):
@@ -103,8 +102,7 @@ class ContinuedFraction(Value):
     def value(self, terms: int = 40) -> float:
         """Float value of the expansion truncated to at most `terms`
         partial quotients."""
-        if not isinstance(terms, int) or isinstance(terms, bool) or terms < 1:
-            raise InvalidInputError(f"terms must be a positive integer, got {terms!r}")
+        _ensure_int(terms, "terms", positive=True)
         quotients = list(self.preperiod)
         while self.period and len(quotients) < terms:
             quotients.extend(self.period)
@@ -141,9 +139,7 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     a slope too large to convert to a float raises InvalidInputError.
     """
     _require_slope(alpha, "alpha")
-    if not isinstance(max_points, int) or isinstance(max_points, bool) or max_points < 1:
-        raise InvalidInputError(f"max_points must be a positive integer, got {max_points!r}")
-    if max_points > MAX_ORBIT_POINTS:
+    if _ensure_int(max_points, "max_points", positive=True) > MAX_ORBIT_POINTS:
         raise LimitExceededError(f"max_points must be at most {MAX_ORBIT_POINTS}, got {max_points}")
     z0 = ensure_finite(z0, "z0")
     if not within(abs(z0) - 1.0):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import Matrix2C, Value, _roots, eigen2, ensure_finite, order_by_modulus
+from .algebra import Matrix2C, Value, _ensure_int, _roots, eigen2, ensure_finite, order_by_modulus
 from .errors import InvalidInputError, NotContractingError
 from .tolerance import inside_unit, resolve, within
 
@@ -33,9 +33,7 @@ class ResonantForm(Value):
     def __init__(self, lam: complex, p: int, c: complex = 1.0) -> None:
         lam = ensure_finite(lam, "lam")
         c = ensure_finite(c, "c")
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise InvalidInputError(f"p must be a positive integer, got {p!r}")
-        self.__dict__.update(lam=lam, p=p, c=c)
+        self.__dict__.update(lam=lam, p=_ensure_int(p, "p", positive=True), c=c)
 
 
 ContractionInput = Matrix2C | ResonantForm
@@ -67,9 +65,7 @@ class Resonant(Value):
         lam = ensure_finite(lam, "lam")
         if not inside_unit(abs(lam)):
             raise InvalidInputError("lam modulus must lie strictly inside (0, 1)")
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise InvalidInputError(f"p must be a positive integer, got {p!r}")
-        self.__dict__.update(lam=lam, p=p)
+        self.__dict__.update(lam=lam, p=_ensure_int(p, "p", positive=True))
 
 
 HopfClass = Diagonal | Resonant

@@ -146,26 +146,20 @@ def dec_complex(v, what: str = "complex value") -> complex:
     return complex(_real(v[0], f"{what} real part"), _real(v[1], f"{what} imaginary part"))
 
 
-def dec_matrix2c(v, what: str = "matrix") -> algebra.Matrix2C:
+def _entries(v, what: str, entry) -> list:
+    """The entries of a 2x2 row-major array, each decoded by entry(value,
+    label) in a, b, c, d order, so the first bad one raises."""
     if not isinstance(v, list) or len(v) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in v):
         raise SchemaError(f"{what} must be a 2x2 row-major array, got {v!r}")
-    return algebra.Matrix2C(
-        dec_complex(v[0][0], f"{what}[0][0]"),
-        dec_complex(v[0][1], f"{what}[0][1]"),
-        dec_complex(v[1][0], f"{what}[1][0]"),
-        dec_complex(v[1][1], f"{what}[1][1]"),
-    )
+    return [entry(v[i][j], f"{what}[{i}][{j}]") for i in (0, 1) for j in (0, 1)]
+
+
+def dec_matrix2c(v, what: str = "matrix") -> algebra.Matrix2C:
+    return algebra.Matrix2C(*_entries(v, what, dec_complex))
 
 
 def dec_int_matrix(v, what: str = "integer matrix") -> algebra.IntMatrix2:
-    if not isinstance(v, list) or len(v) != 2 or any(not isinstance(r, list) or len(r) != 2 for r in v):
-        raise SchemaError(f"{what} must be a 2x2 row-major array, got {v!r}")
-    return algebra.IntMatrix2(
-        _int(v[0][0], f"{what}[0][0]"),
-        _int(v[0][1], f"{what}[0][1]"),
-        _int(v[1][0], f"{what}[1][0]"),
-        _int(v[1][1], f"{what}[1][1]"),
-    )
+    return algebra.IntMatrix2(*_entries(v, what, _int))
 
 
 def dec_surd(v, what: str = "quadratic irrational") -> surd.QuadraticIrrational:
@@ -227,13 +221,16 @@ def dec_contraction(v, what: str = "contraction") -> algebra.Matrix2C | hopf.Res
     raise SchemaError(f"{what} must be a matrix array or a resonant-form object, got {v!r}")
 
 
-def dec_group_element(v, what: str = "group element") -> atlas.GroupElement:
+def _a_t(v, what: str) -> tuple:
+    """The decoded fields of an {"a", "t"} object: a matrix and a complex."""
     if not isinstance(v, dict) or set(v) != {"a", "t"}:
         raise SchemaError(f'{what} must be an object with keys "a" and "t", got {v!r}')
-    return atlas.GroupElement(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))
+    return dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t")
+
+
+def dec_group_element(v, what: str = "group element") -> atlas.GroupElement:
+    return atlas.GroupElement(*_a_t(v, what))
 
 
 def dec_atlas_point(v, what: str = "atlas point") -> atlas.AtlasPoint:
-    if not isinstance(v, dict) or set(v) != {"a", "t"}:
-        raise SchemaError(f'{what} must be an object with keys "a" and "t", got {v!r}')
-    return atlas.AtlasPoint(dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t"))
+    return atlas.AtlasPoint(*_a_t(v, what))

@@ -11,7 +11,7 @@ floats enter any decision.
 from __future__ import annotations
 
 import math
-from .algebra import IntMatrix2, Value
+from .algebra import IntMatrix2, Value, _ensure_int
 from .errors import InvalidInputError, LimitExceededError, SingularMatrixError
 
 # Most partial quotients expanded while looking for the period.  The period
@@ -32,9 +32,7 @@ class QuadraticIrrational(Value):
     d: int
 
     def __init__(self, p: int, q: int, d: int) -> None:
-        for name, v in (("p", p), ("q", q), ("d", d)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+        p, q, d = _ensure_int(p, "p"), _ensure_int(q, "q"), _ensure_int(d, "d")
         if q == 0:
             raise InvalidInputError("denominator q must be nonzero")
         if d <= 0 or math.isqrt(d) ** 2 == d:

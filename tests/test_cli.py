@@ -150,6 +150,34 @@ class TestDecoding:
         with pytest.raises(SchemaError):
             dec_int_matrix([[1.5, 0], [0, 1]])
 
+    @pytest.mark.parametrize(
+        "decode, good, bad",
+        [("dec_matrix2c", [0.5, 0], [True, 0]), ("dec_int_matrix", 1, 1.5)],
+    )
+    def test_matrix_decoders_name_the_first_bad_entry(self, decode, good, bad):
+        from teichkit import jsonio
+
+        decode = getattr(jsonio, decode)
+        with pytest.raises(SchemaError, match=r"^matrix\[1\]\[0\] "):
+            decode([[good, good], [bad, bad]], "matrix")
+        with pytest.raises(SchemaError, match=r"^m\[0\]\[1\] "):
+            decode([[good, bad], [bad, good]], "m")
+        for ragged in ([[good, good], [good]], [[good, good]], "[[1, 0], [0, 1]]", [[good, good], [good, good, good]]):
+            with pytest.raises(SchemaError, match=r"^matrix must be a 2x2 row-major array, got "):
+                decode(ragged, "matrix")
+
+    @pytest.mark.parametrize("decode", ["dec_group_element", "dec_atlas_point"])
+    def test_a_t_objects_refuse_extra_keys(self, decode):
+        from teichkit import jsonio
+
+        decode = getattr(jsonio, decode)
+        doc = {"a": [[[0.5, 0], [0, 0]], [[0, 0], [0.25, 0]]], "t": [0, 0]}
+        assert decode(doc, "x").a.a == 0.5
+        with pytest.raises(SchemaError, match=r'^x must be an object with keys "a" and "t", got '):
+            decode({**doc, "extra": 1}, "x")
+        with pytest.raises(SchemaError, match=r"^x a\[1\]\[1\] "):
+            decode({**doc, "a": [[[0.5, 0], [0, 0]], [[0, 0], 0.25]]}, "x")
+
 
 class TestDispatchExamples:
     def test_classify_jordan_bytes(self):

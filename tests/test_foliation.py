@@ -71,6 +71,16 @@ class TestLeafDescriptor:
         with pytest.raises(InvalidInputError):
             ClosedLeaf(1, 0)
 
+    def test_windings_must_be_integers(self):
+        with pytest.raises(InvalidInputError, match=r"^vertical must be an integer, got 1\.5$"):
+            ClosedLeaf(1.5, 2)
+        with pytest.raises(InvalidInputError, match=r"^vertical must be an integer, got True$"):
+            ClosedLeaf(True, 1)
+        with pytest.raises(InvalidInputError, match=r"^horizontal must be an integer, got 2\.0$"):
+            ClosedLeaf(1, 2.0)
+        with pytest.raises(InvalidInputError, match=r"^closed leaf needs coprime winding"):
+            ClosedLeaf(2, 4)
+
     def test_rejects_plain_floats(self):
         with pytest.raises(InvalidInputError):
             leaf_descriptor(0.5)

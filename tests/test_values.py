@@ -3,6 +3,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,10 @@ from teichkit import (
     TorusTranslation,
     g_identity,
     g_power,
+    groupoid_check,
+    rotation_orbit,
+    structure_by_name,
+    z_action,
 )
 from teichkit.algebra import Value
 
@@ -197,3 +202,30 @@ def test_class_patterns_match_fields_in_order():
             assert (lam, p) == (0.5, 2)
         case _:
             pytest.fail("no match")
+
+
+TRIVIAL = structure_by_name("trivial")
+POINT = AtlasPoint(Matrix2C(0.5, 0, 0, 0.25), 0)
+
+# (call, the error code, the exact message)
+INTEGER_CHECKS = [
+    (lambda: g_power(g_identity(), 1.5), "invalid_input", "power must be an integer, got 1.5"),
+    (lambda: z_action(True, g_identity(), POINT, TRIVIAL), "invalid_input", "twist power must be an integer, got True"),
+    (lambda: groupoid_check(TRIVIAL, 0), "invalid_input", "samples must be a positive integer, got 0"),
+    (lambda: groupoid_check(TRIVIAL, 1, 1.0), "invalid_input", "seed must be an integer, got 1.0"),
+    (lambda: Circle(0), "invalid_input", "deck_order must be a positive integer, got 0"),
+    (lambda: ContinuedFraction((1,), ()).value(0), "invalid_input", "terms must be a positive integer, got 0"),
+    (lambda: rotation_orbit(1, Fraction(1, 3), True), "invalid_input", "max_points must be a positive integer, got True"),
+    (lambda: ResonantForm(0.5, 0), "invalid_input", "p must be a positive integer, got 0"),
+    (lambda: Resonant(0.5, 2.0), "invalid_input", "p must be a positive integer, got 2.0"),
+    (lambda: QuadraticIrrational(1, 2.0, 2), "invalid_input", "q must be an integer, got 2.0"),
+    (lambda: CurvePoint(0, 0.5), "invalid_point", "order must be a positive integer, got 0"),
+    (lambda: IntMatrix2(1, 2, 3, 4.0), "invalid_input", "d must be an integer, got 4.0"),
+]
+
+
+@pytest.mark.parametrize("call, code, message", INTEGER_CHECKS, ids=[m.split(" must")[0] for _, _, m in INTEGER_CHECKS])
+def test_integer_checks_name_the_parameter(call, code, message):
+    with pytest.raises(teichkit.InvalidInputError) as info:
+        call()
+    assert (info.value.code, str(info.value)) == (code, message)
