@@ -13,10 +13,11 @@ already in force where dispatch was called; nothing outlives the block.
 Every verb is one row of VERBS: its group, name, help text, typed flags and
 the library call, whose values canonical_dumps writes; no row encodes.  The
 parser and dispatch both read only that table.  A flag's kind (KINDS) says
-how argparse reads it and how dispatch decodes the raw value.  Decoding runs
-inside dispatch, inside the tolerance block, so that schema and domain
-errors keep their exit codes; library and jsonio functions are looked up
-when called, never captured when the table is built.
+how many tokens the parser takes for it and how it converts them, and how
+dispatch decodes the result.  Decoding runs inside dispatch, inside the
+tolerance block, so that schema and domain errors keep their exit codes;
+library and jsonio functions are looked up when called, never captured when
+the table is built.
 
 A command imports only what it uses.  The kernel modules are bound here as
 stand-ins (teichkit._Deferred) that import the module the first time a row
@@ -24,47 +25,25 @@ reads from it, and then become the module itself; jsonio does the same for
 the value types it decodes.  So ``teichkit alg idet`` imports algebra and no
 other kernel module.
 
-The argparse parser is built once per process and reused: parse_args keeps
-no state between calls and returns a fresh namespace each time.  The first
-dispatch builds the root parser and the group parsers; a group's verb
-parsers are added once, on the first dispatch whose argv has a token naming
-that group.  Everything that can differ between calls is still read per
-call: --eps and TEICHKIT_EPS, the terminal width used for help text, and the
-streams that help, usage and argparse errors go to.  Those are the call's
-own `out` and `err`, held in a context variable while argparse runs, so
-dispatch never swaps the process-wide sys.stdout or sys.stderr, and
-concurrent calls in several threads each write only to their own streams.
+The parser reads an optional --eps, the group, the verb, then its flags
+(and --eps) in any order, each followed by its values or joined to one
+value by "=".  A token is an option only if it starts with "--" or is "-h",
+so negative numbers (--tau -1e-3 1) and slopes (--alpha -7/3) are values.
+A unique prefix names an option (--max for --max-points); a repeated flag
+keeps its last value.  Help goes to the call's `out` (exit 0), usage errors
+to its `err` (exit 2); the parser keeps no state between calls.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
-import threading
-from contextvars import ContextVar
 from typing import Any, Callable, NamedTuple
 
-from . import _defer
+from . import _defer, jsonio
 from .errors import InvalidInputError, TeichkitError
-from .jsonio import (
-    SchemaError,
-    canonical_dumps,
-    dec_atlas_point,
-    dec_contraction,
-    dec_group_element,
-    dec_hopf_class,
-    dec_int_matrix,
-    dec_matrix2c,
-    dec_surd,
-    dec_teich_point,
-    loads_strict,
-    wire,
-)
+from .jsonio import SchemaError, canonical_dumps, loads_strict, wire
 from .tolerance import checked_eps, resolve, tolerance
-
-_ENV_EPS = "TEICHKIT_EPS"
 
 # bound to the modules themselves on first use; see teichkit._Deferred
 algebra, atlas, foliation, hopf, teich, tori = _defer(
@@ -80,27 +59,16 @@ def dispatch(argv, out=None, err=None) -> int:
     """Run one command; print its JSON to `out`. Returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    argv = list(argv)
-    parser, pending = _build_parser()
-    for token in argv:
-        if token in pending:  # a group whose verbs are not in the parser yet
-            _add_verbs(token, pending)
-    streams = _STREAMS.set((out, err))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    finally:
-        _STREAMS.reset(streams)
-
-    verb = getattr(args, "command", None)
-    if verb is None:  # no group, or a group without a verb: that parser's usage
-        getattr(args, "group_parser", parser).print_usage(err)
-        return 2
+        verb, raw, eps = _parse(list(argv))
+    except _Stop as stop:  # help, or a usage error
+        code, text = stop.args
+        print(text, end="", file=err if code else out)
+        return code
 
     try:
-        with tolerance(_resolve_eps(args)):
-            values = [flag.decode(getattr(args, flag.dest)) for flag in verb.flags]
+        with tolerance(_resolve_eps(eps)):
+            values = [None if v is None else flag.kind.decode(v, flag.name) for flag, v in zip(verb.flags, raw)]
             result = verb.run(*values)
         payload, code = result if isinstance(result, tuple) else (result, 0)
         try:
@@ -110,21 +78,18 @@ def dispatch(argv, out=None, err=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except TeichkitError as exc:
-        print(canonical_dumps({"error": exc.code, "message": str(exc)}), file=err)
+    except (TeichkitError, OverflowError) as exc:  # OverflowError: abs() or ** of a complex past float range
+        print(canonical_dumps({"error": getattr(exc, "code", InvalidInputError.code), "message": str(exc)}), file=err)
         return 1
 
     print(text, file=out)
     return code
 
 
-def _resolve_eps(args) -> float:
+def _resolve_eps(value) -> float:
     """--eps, else TEICHKIT_EPS, else the tolerance already in force."""
-    value = getattr(args, "eps", None)
-    if value is None:
-        value = os.environ.get(_ENV_EPS)
-        if value is None:
-            return resolve()
+    if value is None and (value := os.environ.get("TEICHKIT_EPS")) is None:
+        return resolve()
     try:
         return checked_eps(value)
     except ValueError as exc:
@@ -133,27 +98,31 @@ def _resolve_eps(args) -> float:
 
 # ------------------------------------------------------------ argument kinds
 
+_REQUIRED = object()  # the default of a flag that must be given
+
 
 class Kind(NamedTuple):
-    """How argparse reads one kind of flag, and how dispatch decodes it.
+    """How the parser reads one kind of flag, and how dispatch decodes it:
+    `nargs` tokens (None: one or more, up to the next option), each
+    converted; `decode(value, flag name)` then gets one token, or a list."""
 
-    `decode(raw, label)` gets the parsed value and the flag's name, which
-    labels its error messages.
-    """
-
-    parse: dict
     decode: Callable[[Any, str], Any] = lambda raw, label: raw
+    nargs: int | None = 1
+    convert: Callable[[str], Any] = str
+    metavar: str = ""  # names the values in help; empty: the flag's name in capitals
+    choices: tuple = ()
+    default: Any = _REQUIRED
 
 
 def _int_matrix(raw, label):
     # a lone --matrix keeps the decoder's own label, "integer matrix"
-    return dec_int_matrix(loads_strict(raw, label), "integer matrix" if label == "matrix" else label)
+    return jsonio.dec_int_matrix(loads_strict(raw, label), "integer matrix" if label == "matrix" else label)
 
 
 def _slope(raw, label) -> foliation.Slope:
     stripped = raw.strip()
     if stripped.startswith("{"):
-        return dec_surd(loads_strict(stripped, label), label)
+        return jsonio.dec_surd(loads_strict(stripped, label), label)
     from fractions import Fraction
 
     try:
@@ -173,39 +142,32 @@ def _resonant(values, label) -> hopf.ResonantForm:
 
 
 KINDS = {
-    "pair": Kind({"nargs": 2, "type": float, "metavar": ("RE", "IM")}, lambda v, label: complex(v[0], v[1])),
-    "matrix": Kind({}, lambda raw, label: dec_matrix2c(loads_strict(raw, label), label)),
-    "int_matrix": Kind({}, _int_matrix),
-    "teich_point": Kind({}, lambda raw, label: dec_teich_point(loads_strict(raw, label), label)),
-    "hopf_class": Kind({}, lambda raw, label: dec_hopf_class(loads_strict(raw, label), label)),
-    "contraction": Kind({}, lambda raw, label: dec_contraction(loads_strict(raw, label), label)),
-    "resonant": Kind({"nargs": "+", "type": float, "metavar": "V"}, _resonant),
-    "group_element": Kind({}, lambda raw, label: dec_group_element(loads_strict(raw, label), label)),
-    "atlas_point": Kind({}, lambda raw, label: dec_atlas_point(loads_strict(raw, label), label)),
-    "slope": Kind({}, _slope),
-    "structure": Kind(
-        {"choices": ("trivial", "broken"), "default": "trivial"},
-        lambda name, label: atlas.structure_by_name(name),
-    ),
-    "int": Kind({"type": int}),
-    "float": Kind({"type": float}),
-    "text": Kind({}),
+    "pair": Kind(lambda v, label: complex(v[0], v[1]), 2, float, "RE IM"),
+    "matrix": Kind(lambda raw, label: jsonio.dec_matrix2c(loads_strict(raw, label), label)),
+    "int_matrix": Kind(_int_matrix),
+    "teich_point": Kind(lambda raw, label: jsonio.dec_teich_point(loads_strict(raw, label), label)),
+    "hopf_class": Kind(lambda raw, label: jsonio.dec_hopf_class(loads_strict(raw, label), label)),
+    "contraction": Kind(lambda raw, label: jsonio.dec_contraction(loads_strict(raw, label), label)),
+    "resonant": Kind(_resonant, None, float, "V [V ...]"),
+    "group_element": Kind(lambda raw, label: jsonio.dec_group_element(loads_strict(raw, label), label)),
+    "atlas_point": Kind(lambda raw, label: jsonio.dec_atlas_point(loads_strict(raw, label), label)),
+    "slope": Kind(_slope),
+    "structure": Kind(lambda name, label: atlas.structure_by_name(name), 1, str, "{trivial,broken}",
+                      ("trivial", "broken"), "trivial"),
+    "int": Kind(convert=int),
+    "float": Kind(convert=float),
+    "text": Kind(),
 }
 
 
 class Flag:
-    """One --name option of a verb: its kind plus add_argument keywords
-    (help, default, dest).  A flag without a default is required, unless it
-    is one of a one_of verb's flags; an absent one decodes to None."""
+    """One --name option of a verb: its kind, help text and default.  A flag
+    without a default is required; an absent one of a one_of verb is None."""
 
-    def __init__(self, name: str, kind: str, **options) -> None:
-        self.name = name
-        self.kind = KINDS[kind]
-        self.dest = options.get("dest", name.replace("-", "_"))
-        self.options = {**self.kind.parse, **options}
-
-    def decode(self, raw):
-        return None if raw is None else self.kind.decode(raw, self.name)
+    def __init__(self, name: str, kind: str, help: str = "", default: Any = _REQUIRED) -> None:
+        self.name, self.kind, self.help = name, KINDS[kind], help
+        self.default = self.kind.default if default is _REQUIRED else default
+        self.usage = f"--{name} {self.kind.metavar or name.upper()}"  # in help text
 
 
 class Verb(NamedTuple):
@@ -335,8 +297,8 @@ VERBS = (
     Verb("hopf", "resonance", "resonance order of an eigenvalue pair", (Flag("big", "pair"), Flag("small", "pair")),
          lambda big, small: {"p": hopf.resonance_order(big, small)}),
     Verb("hopf", "classify", "biholomorphism class of a contraction",
-         (Flag("matrix", "matrix", help="2x2 complex matrix JSON"),
-          Flag("resonant", "resonant", help="LAMBDA_RE LAMBDA_IM P [C_RE C_IM]")),
+         (Flag("matrix", "matrix", help="2x2 complex matrix JSON", default=None),
+          Flag("resonant", "resonant", help="LAMBDA_RE LAMBDA_IM P [C_RE C_IM]", default=None)),
          _classify, one_of=True),
     Verb("hopf", "det-trace", "(det, trace) image of a matrix", (Flag("matrix", "matrix"),),
          lambda m: {"det": m.det, "trace": m.trace}),
@@ -347,7 +309,7 @@ VERBS = (
     Verb("teich", "in-domain", "membership in the base domain", (Flag("d", "pair"), Flag("t", "pair")),
          lambda d, t: {"in_domain": teich.in_base_domain(d, t)}),
     Verb("teich", "point", "deformation-space point of a class",
-         (Flag("class", "hopf_class", dest="hopf_class", help="class JSON"),),
+         (Flag("class", "hopf_class", help="class JSON"),),
          lambda c: {"point": teich.point_of_class(c)}),
     Verb("teich", "class", "class of a deformation-space point", (Flag("point", "teich_point", help="point JSON"),),
          lambda x: teich.class_of_point(x)),
@@ -398,71 +360,107 @@ VERBS = (
 
 # ------------------------------------------------------------------ parser
 
-# (out, err) of the dispatch whose parse_args is running in this context
-_STREAMS: ContextVar[tuple] = ContextVar("teichkit_cli_streams")
+_HELP_FLAG = Flag("help", "text", help="show this help message and exit")
+_EPS_FLAG = Flag("eps", "float", help="tolerance override for approximate comparisons", default=None)
+_GROUP_OPTIONS = {"-h": _HELP_FLAG, "--help": _HELP_FLAG}
+_ROOT_OPTIONS = {**_GROUP_OPTIONS, "--eps": _EPS_FLAG}
+# group -> verb name -> (verb, its option strings -> flags)
+_TABLE = {group: {} for group in GROUPS}
+for _verb in VERBS:
+    _TABLE[_verb.group][_verb.name] = _verb, {**_ROOT_OPTIONS, **{f"--{f.name}": f for f in _verb.flags}}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that writes to the calling dispatch's streams.
-
-    argparse hands every message it prints to _print_message, with
-    sys.stdout for help and sys.stderr for usage and errors; inside
-    dispatch those stand for the call's `out` and `err`.  Subparsers are
-    made of the same class.
-    """
-
-    def _print_message(self, message: str, file=None) -> None:
-        streams = _STREAMS.get(None)
-        if streams is not None:
-            file = streams[0] if file is sys.stdout else streams[1]
-        super()._print_message(message, file)
+class _Stop(Exception):
+    """Parsing ends: args are the exit code and the help (0, for `out`) or usage (2, for `err`)."""
 
 
-@functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The root parser and its group parsers, without verbs, and a dict of
-    every group whose verbs are not added yet, mapped to its verb subparsers."""
-    parser = _Parser(
-        prog="teichkit",
-        description="Hopf surface classification, torus moduli, torus foliations, "
-        "and the atlas group of S3 x S1, with JSON output.",
-    )
-    parser.add_argument("--eps", type=float, default=None, help="tolerance override")
-    groups = parser.add_subparsers(dest="group", metavar="GROUP")
-    pending = {}
-    for name, help_text in GROUPS.items():
-        group = groups.add_parser(name, help=help_text)
-        group.set_defaults(group_parser=group)
-        pending[name] = group.add_subparsers(dest="verb", metavar="VERB")
-    return parser, pending
+def _is_option(token: str) -> bool:
+    return token.startswith("--") or token == "-h"
 
 
-_ADDING = threading.Lock()
-
-
-def _add_verbs(group: str, pending: dict) -> None:
-    """Add a parser for each verb of `group`, unless an earlier dispatch did."""
-    with _ADDING:
-        verbs = pending.get(group)
-        if verbs is None:
-            return
-        shared = argparse.ArgumentParser(add_help=False)
-        shared.add_argument(
-            "--eps",
-            type=float,
-            default=argparse.SUPPRESS,
-            help="tolerance override for approximate comparisons",
-        )
-        for verb in VERBS:
-            if verb.group != group:
+def _parse(argv: list[str]) -> tuple[Verb, list, float | None]:
+    """The verb `argv` names, its raw flag values in table order, and --eps."""
+    group = verb = None
+    options, given, stray, i = _ROOT_OPTIONS, {}, [], 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if not _is_option(token):  # the group, the verb, or a stray value
+            if verb is not None:
+                stray.append(token)
+            elif token not in (choices := _TABLE[group] if group else _TABLE):
+                raise _usage(group, None, f"invalid choice: {token!r} (choose from {', '.join(choices)})")
+            elif group is None:
+                group, options = token, _GROUP_OPTIONS
+            else:
+                verb, options = choices[token]
+            continue
+        name, eq, value = token.partition("=")
+        flag = options.get(name)
+        if flag is None:  # a unique prefix of an option names it
+            matches = [option for option in options if option.startswith(name)] if len(name) > 2 else []
+            if len(matches) > 1:
+                raise _usage(group, verb, f"ambiguous option: {name} could match {', '.join(matches)}")
+            if not matches:
+                stray.append(token)
                 continue
-            p = verbs.add_parser(verb.name, parents=[shared], help=verb.help)
-            p.set_defaults(command=verb)
-            target = p.add_mutually_exclusive_group(required=True) if verb.one_of else p
-            for flag in verb.flags:
-                required = not verb.one_of and "default" not in flag.options
-                target.add_argument(f"--{flag.name}", required=required, **flag.options)
-        del pending[group]  # only now: a concurrent dispatch that saw it pending waits above
+            flag = options[matches[0]]
+        label = f"argument --{flag.name}"
+        if flag is _HELP_FLAG:
+            raise _Stop(0, _help(group, verb)) if not eq else _usage(group, verb, f"{label}: takes no value")
+        kind, raw = flag.kind, [value] if eq else []
+        while not eq and i < len(argv) and len(raw) != kind.nargs and not _is_option(argv[i]):
+            raw.append(argv[i])
+            i += 1
+        if len(raw) != (kind.nargs or len(raw) or 1):
+            raise _usage(group, verb, f"{label}: expected {kind.nargs or 'at least 1'} value(s)")
+        try:
+            raw = [kind.convert(token) for token in raw]
+        except ValueError:
+            raise _usage(group, verb, f"{label}: invalid {kind.convert.__name__} value in {raw}") from None
+        if kind.choices and raw[0] not in kind.choices:
+            raise _usage(group, verb, f"{label}: invalid choice: {raw[0]!r} (choose from {', '.join(kind.choices)})")
+        if flag is not _EPS_FLAG and verb.one_of and any(f in given for f in verb.flags if f is not flag):
+            raise _usage(group, verb, f"{label}: not allowed with the verb's other flag")
+        given[flag] = raw[0] if kind.nargs == 1 else raw
+
+    if verb is not None:
+        missing = [f"--{f.name}" for f in verb.flags if f not in given and f.default is _REQUIRED]
+        if verb.one_of and not any(f in given for f in verb.flags):
+            missing = [" | ".join(f"--{f.name}" for f in verb.flags)]
+        if missing:
+            raise _usage(group, verb, f"the following arguments are required: {', '.join(missing)}")
+    if stray:
+        raise _usage(group, verb, f"unrecognized arguments: {' '.join(stray)}")
+    if verb is None:  # no group, or a group without a verb: that level's usage
+        raise _usage(group, None)
+    return verb, [given.get(f, f.default) for f in verb.flags], given.get(_EPS_FLAG)
+
+
+def _usage(group, verb, error: str = "") -> _Stop:
+    """Exit 2 with the usage line of the root, a group or a verb, and `error`."""
+    if verb is None:
+        line = f"teichkit {group} [-h] VERB ..." if group else "teichkit [-h] [--eps EPS] GROUP ..."
+    else:
+        flags = [f.usage if f.default is _REQUIRED else f"[{f.usage}]" for f in verb.flags]
+        if verb.one_of:
+            flags = [f"({' | '.join(f.usage for f in verb.flags)})"]
+        line = " ".join((f"teichkit {group} {verb.name} [-h] [--eps EPS]", *flags))
+    return _Stop(2, f"usage: {line}\n" + (f"{line.partition(' [-h]')[0]}: error: {error}\n" if error else ""))
+
+
+def _help(group, verb) -> str:
+    """Help for the root, a group or a verb, made from the table."""
+    if group is None:
+        about = "Hopf surface classification, torus moduli, torus foliations, and the atlas group of S3 x S1."
+        rows = [*GROUPS.items(), (_EPS_FLAG.usage, _EPS_FLAG.help)]
+    elif verb is None:
+        about, rows = GROUPS[group], [(v.name, v.help) for v in VERBS if v.group == group]
+    else:
+        about, rows = verb.help, [(f.usage, f.help) for f in (*verb.flags, _EPS_FLAG)]
+    rows.append(("-h, --help", _HELP_FLAG.help))
+    width = max(len(left) for left, _ in rows) + 2
+    rows = "".join(f"  {left:<{width}}{right}".rstrip() + "\n" for left, right in rows)
+    return f"{_usage(group, verb).args[1]}\n{about}\n\n{rows}"
 
 
 if __name__ == "__main__":

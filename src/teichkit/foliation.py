@@ -135,8 +135,10 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     For a rational slope p/q in lowest terms the orbit is the full cyclic
     group orbit of q points (truncated at max_points); for a quadratic
     irrational the orbit never closes and exactly max_points iterates are
-    returned.  A max_points above MAX_ORBIT_POINTS raises LimitExceededError;
-    a slope too large to convert to a float raises InvalidInputError.
+    returned.  The slope is reduced mod 1 exactly before it is converted to
+    a float, so a large integer part costs no precision.  A max_points above
+    MAX_ORBIT_POINTS raises LimitExceededError; a surd whose reduced terms
+    are too large to convert to a float raises InvalidInputError.
     """
     _require_slope(alpha, "alpha")
     if _ensure_int(max_points, "max_points", positive=True) > MAX_ORBIT_POINTS:
@@ -145,12 +147,12 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     if not within(abs(z0) - 1.0):
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
     if isinstance(alpha, Fraction):
-        count = min(alpha.denominator, max_points)
+        count, turn = min(alpha.denominator, max_points), alpha % 1
     else:
-        count = max_points
+        count, turn = max_points, QuadraticIrrational(alpha.p - math.floor(alpha) * alpha.q, alpha.q, alpha.d)
     try:
-        step = cmath.exp(2j * math.pi * float(alpha))
-    except (OverflowError, ValueError):  # float(alpha) or 2*pi*alpha overflows
+        step = cmath.exp(2j * math.pi * float(turn))
+    except OverflowError:  # a surd whose reduced terms are past float range
         raise InvalidInputError("alpha is too large to rotate by in floating point") from None
     points = [z0]
     z = z0

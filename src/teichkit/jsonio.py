@@ -120,6 +120,8 @@ def loads_strict(text: str, what: str = "input"):
         raise SchemaError(f"{what}: malformed JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise SchemaError(f"{what}: {exc}") from exc
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise SchemaError(f"{what}: JSON nested too deeply") from None
 
 
 def _real(v, what: str) -> float:

@@ -66,6 +66,8 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
             a, b = a - n * c, b - n * d
         if abs(tau) < 1.0 - eps:
             tau = -1.0 / tau
+            if math.isinf(tau.real) or math.isinf(tau.imag):  # |tau| too small for 1/tau to be finite
+                raise InvalidInputError("tau is too close to 0 to invert in floating point")
             a, b, c, d = -c, -d, a, b
         else:
             break

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
+
+from hypothesis import settings
+
+# On CI (the CI environment variable set), every property and fuzz test draws
+# the same examples on every run, so a failure there reproduces locally with
+# CI=1; no deadline, since shared runners are slow at random.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # Populated by tests/test_acceptance.py; one entry per criterion.
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool, float, float]] = []

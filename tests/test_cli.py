@@ -309,10 +309,17 @@ class TestErrorChannels:
         self.assert_json_error(["fol", "cf", "--alpha", '{"p":0,"q":1,"d":1000000000000037}'], "limit_exceeded")
 
     def test_orbit_of_huge_slope_is_invalid_input(self):
-        # float(alpha) overflows for the first two; 2*pi*alpha does for the third
+        # reduced mod 1, sqrt(d) of the first is still past float range, as is q of the second
         orbit = ["fol", "orbit", "--z0", "1", "0", "--max-points", "3", "--alpha"]
-        for alpha in (f'{{"p":{10**400},"q":3,"d":2}}', f"{10**400}/3", f"{10**308}/1"):
+        for alpha in (f'{{"p":0,"q":1,"d":{10**400 + 1}}}', f'{{"p":1,"q":{10**400},"d":2}}'):
             self.assert_json_error([*orbit, alpha], "invalid_input")
+
+    def test_orbit_of_huge_slope_reduces_exactly(self):
+        orbit = ["fol", "orbit", "--z0", "1", "0", "--max-points", "5", "--alpha"]
+        assert run([*orbit, "100000000000000000001/3"]) == run([*orbit, "2/3"])
+        for alpha, reduced in ((f"{10**400}/3", "1/3"), (f"{10**308}/1", "0"),
+                               (f'{{"p":{3 * 10**400},"q":3,"d":2}}', '{"p":0,"q":3,"d":2}')):
+            assert run([*orbit, alpha]) == run([*orbit, reduced])
 
     def test_orbit_size_is_capped(self):
         argv = ["fol", "orbit", "--z0", "1", "0", "--alpha", "1/3", "--max-points"]
@@ -377,7 +384,7 @@ class TestEpsControls:
 
 
 class TestParserReuse:
-    """The parser is built once per process; no dispatch may see an earlier one."""
+    """The parser keeps no state between calls; no dispatch may see an earlier one."""
 
     RESONANCE = ["hopf", "resonance", "--big", "0.5", "0", "--small", "0.2505", "0"]
     # each unit runs as one block, so --eps is always followed by a run without it
@@ -391,15 +398,12 @@ class TestParserReuse:
         [[*RESONANCE, "--eps", "1e-3"], RESONANCE],
     ]
 
-    def test_parser_is_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
-
-    def test_help_follows_terminal_width(self, monkeypatch):
+    def test_help_ignores_terminal_width(self, monkeypatch):
         argv = ["hopf", "classify", "--help"]
         monkeypatch.setenv("COLUMNS", "40")
-        narrow = run(argv)[1]
+        narrow = run(argv)
         monkeypatch.setenv("COLUMNS", "200")
-        assert run(argv)[1] != narrow
+        assert run(argv) == narrow
 
     def test_replay_is_independent_of_dispatch_order(self):
         commands = [json.loads(path.read_text())["command"] for path in sorted(FIXTURES_DIR.glob("*.json"))]
@@ -417,6 +421,71 @@ class TestParserReuse:
             random.Random(seed).shuffle(order)
             for i in order:
                 assert [run(argv) for argv in units[i]] == first[i], units[i]
+
+
+class TestTableParser:
+    def test_negative_values_are_values(self):
+        assert run(["tori", "reduce", "--tau", "-1e-3", "1"]) == run(["tori", "reduce", "--tau", "-0.001", "1"])
+        assert run(["tori", "reduce", "--tau", "-1e-3", "1"])[0] == 0
+        assert run(["fol", "cf", "--alpha", "-7/3"]) == (0, '{"preperiod":[-3,1,2],"period":[]}\n', "")
+        assert run(["fol", "cf", "--alpha", "-7/3"]) == run(["fol", "cf", "--alpha=-7/3"])
+        assert run(["hopf", "classify", "--resonant", "0.5", "0", "-inf"]) == (
+            2, "", "error: resonance order must be an integer, got -inf\n"
+        )
+
+    def test_option_forms(self):
+        reduce = run(["tori", "reduce", "--tau", "5", "1"])
+        assert run(["tori", "reduce", "--tau", "9", "9", "--tau", "5", "1"]) == reduce  # the last repeat wins
+        assert run(["tori", "reduce", "--ta", "5", "1"]) == reduce  # a unique prefix
+        orbit = ["fol", "orbit", "--z0", "1", "0", "--alpha", "1/3"]
+        assert run([*orbit, "--max", "2"]) == run([*orbit, "--max-points=2"]) == run([*orbit, "--max-points", "2"])
+        assert run_json(["hopf", "classify", "--resonant", "0.5", "0", "2", "--eps", "1e-6"])["p"] == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["atlas", "check", "--s", "3"], "ambiguous option: --s could match --structure, --samples, --seed"),
+        (["tori", "reduce", "--tau=5", "1"], "argument --tau: expected 2 value(s)"),
+        (["tori", "reduce", "--tau", "5", "--eps", "1"], "argument --tau: expected 2 value(s)"),
+        (["hopf", "classify", "--resonant"], "argument --resonant: expected at least 1 value(s)"),
+        (["alg", "idet", "--help=x"], "argument --help: takes no value"),
+        (["alg", "idet", "--matrix", "[[1,0],[0,1]]", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["alg", "idet"], "the following arguments are required: --matrix"),
+        (["hopf", "classify"], "the following arguments are required: --matrix | --resonant"),
+        (["atlas", "check", "--structure", "odd"],
+         "argument --structure: invalid choice: 'odd' (choose from trivial, broken)"),
+        (["atlas", "check", "--samples", "1.5"], "argument --samples: invalid int value in ['1.5']"),
+        (["nope"], "invalid choice: 'nope' (choose from alg, tori, hopf, teich, fol, atlas, fixtures)"),
+    ])
+    def test_usage_errors(self, argv, message):
+        code, out, err = run(argv)
+        usage, error = err.splitlines()
+        assert (code, out) == (2, "") and usage.startswith("usage: teichkit")
+        assert error.endswith(f": error: {message}")
+
+    def test_usage_line_lists_the_flags(self):
+        assert run(["hopf", "classify", "--matrix", "[]", "--resonant", "1"])[2].splitlines()[0] == (
+            "usage: teichkit hopf classify [-h] [--eps EPS] (--matrix MATRIX | --resonant V [V ...])"
+        )
+        assert run(["atlas", "check", "-x"])[2].splitlines()[0] == (
+            "usage: teichkit atlas check [-h] [--eps EPS] "
+            "[--structure {trivial,broken}] [--samples SAMPLES] [--seed SEED]"
+        )
+
+    def test_help_is_made_from_the_table(self):
+        for argv, names in (
+            (["-h"], [*cli.GROUPS, "--eps EPS"]),
+            (["alg", "--help"], [verb.name for verb in cli.VERBS if verb.group == "alg"]),
+            (["fol", "orbit", "--he"], ["--z0 RE IM", "--alpha ALPHA", "--max-points MAX-POINTS", "--eps EPS"]),
+        ):
+            code, out, err = run(argv)
+            assert (code, err) == (0, "") and out.startswith("usage: teichkit")
+            rows = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+            assert rows == [name.split()[0] for name in names] + ["-h,"]
+            assert all(name in out for name in names)
+
+    def test_help_wins_over_later_errors_only(self):
+        assert run(["alg", "idet", "-h", "--bogus"])[0] == 0
+        assert run(["alg", "idet", "--bogus", "-h"])[0] == 0
+        assert run(["tori", "reduce", "--tau", "x", "0", "-h"])[0] == 2
 
 
 class TestMain:

@@ -131,7 +131,7 @@ FIRST_VERBS = [
 
 
 def test_concurrent_first_dispatches_of_a_group():
-    # every thread must see the group's verbs, whichever thread adds them
+    # every thread must see the group's verbs, whichever thread dispatches first
     alive, outcomes = json.loads(fresh(CONCURRENT, json.dumps(FIRST_VERBS)))
     assert alive == 0
     assert [(group, code, err) for group, code, _, err in outcomes] == sorted((a[0], 0, "") for a in FIRST_VERBS)
@@ -192,6 +192,16 @@ def test_value_types_import_neither_dataclasses_nor_inspect(argv):
     added = set(fresh(DISPATCH, *argv).split()) - set(fresh(MODULES).split())
     assert added & {"dataclasses", "inspect"} == set()
     assert "teichkit.cli" in added
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*FIRST_VERBS, ["fixtures", "run", "--dir", FIXTURES], ["--help"], ["alg", "idet"]],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_no_dispatch_imports_argparse(argv):
+    # the parser reads the verb table itself; help and usage errors too
+    assert "argparse" not in set(fresh(DISPATCH, *argv).split())
 
 
 @pytest.mark.parametrize("argv", [argv for argv in FIRST_VERBS if argv[0] != "fol"], ids=lambda argv: argv[0])
