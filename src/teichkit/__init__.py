@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrixError,
     TeichkitError,
 )
-from .tolerance import DEFAULT_EPS, default_eps, tolerance
+from .tolerance import DEFAULT_EPS, tolerance
 
 __version__ = "0.1.0"
 

@@ -82,7 +82,7 @@ def dispatch(argv, out=None, err=None) -> int:
         print(canonical_dumps({"error": getattr(exc, "code", InvalidInputError.code), "message": str(exc)}), file=err)
         return 1
 
-    print(text, file=out)
+    out.write(text + "\n")
     return code
 
 
@@ -168,6 +168,7 @@ class Flag:
         self.name, self.kind, self.help = name, KINDS[kind], help
         self.default = self.kind.default if default is _REQUIRED else default
         self.usage = f"--{name} {self.kind.metavar or name.upper()}"  # in help text
+        self.label = f"argument --{name}"  # in usage errors
 
 
 class Verb(NamedTuple):
@@ -374,17 +375,13 @@ class _Stop(Exception):
     """Parsing ends: args are the exit code and the help (0, for `out`) or usage (2, for `err`)."""
 
 
-def _is_option(token: str) -> bool:
-    return token.startswith("--") or token == "-h"
-
-
 def _parse(argv: list[str]) -> tuple[Verb, list, float | None]:
     """The verb `argv` names, its raw flag values in table order, and --eps."""
     group = verb = None
-    options, given, stray, i = _ROOT_OPTIONS, {}, [], 0
-    while i < len(argv):
+    options, given, stray, i, n = _ROOT_OPTIONS, {}, [], 0, len(argv)
+    while i < n:
         token, i = argv[i], i + 1
-        if not _is_option(token):  # the group, the verb, or a stray value
+        if not (token.startswith("--") or token == "-h"):  # the group, the verb, or a stray value
             if verb is not None:
                 stray.append(token)
             elif token not in (choices := _TABLE[group] if group else _TABLE):
@@ -404,36 +401,38 @@ def _parse(argv: list[str]) -> tuple[Verb, list, float | None]:
                 stray.append(token)
                 continue
             flag = options[matches[0]]
-        label = f"argument --{flag.name}"
         if flag is _HELP_FLAG:
-            raise _Stop(0, _help(group, verb)) if not eq else _usage(group, verb, f"{label}: takes no value")
+            raise _Stop(0, _help(group, verb)) if not eq else _usage(group, verb, f"{flag.label}: takes no value")
         kind, raw = flag.kind, [value] if eq else []
-        while not eq and i < len(argv) and len(raw) != kind.nargs and not _is_option(argv[i]):
+        while not eq and i < n and len(raw) != kind.nargs and not (argv[i].startswith("--") or argv[i] == "-h"):
             raw.append(argv[i])
             i += 1
         if len(raw) != (kind.nargs or len(raw) or 1):
-            raise _usage(group, verb, f"{label}: expected {kind.nargs or 'at least 1'} value(s)")
-        try:
-            raw = [kind.convert(token) for token in raw]
-        except ValueError:
-            raise _usage(group, verb, f"{label}: invalid {kind.convert.__name__} value in {raw}") from None
+            raise _usage(group, verb, f"{flag.label}: expected {kind.nargs or 'at least 1'} value(s)")
+        if kind.convert is not str:  # argv tokens are strings already
+            try:
+                raw = [kind.convert(token) for token in raw]
+            except ValueError:
+                raise _usage(group, verb, f"{flag.label}: invalid {kind.convert.__name__} value in {raw}") from None
         if kind.choices and raw[0] not in kind.choices:
-            raise _usage(group, verb, f"{label}: invalid choice: {raw[0]!r} (choose from {', '.join(kind.choices)})")
+            choices = ", ".join(kind.choices)
+            raise _usage(group, verb, f"{flag.label}: invalid choice: {raw[0]!r} (choose from {choices})")
         if flag is not _EPS_FLAG and verb.one_of and any(f in given for f in verb.flags if f is not flag):
-            raise _usage(group, verb, f"{label}: not allowed with the verb's other flag")
+            raise _usage(group, verb, f"{flag.label}: not allowed with the verb's other flag")
         given[flag] = raw[0] if kind.nargs == 1 else raw
 
     if verb is not None:
-        missing = [f"--{f.name}" for f in verb.flags if f not in given and f.default is _REQUIRED]
-        if verb.one_of and not any(f in given for f in verb.flags):
-            missing = [" | ".join(f"--{f.name}" for f in verb.flags)]
-        if missing:
+        values = [given.get(f, f.default) for f in verb.flags]
+        if _REQUIRED in values or (verb.one_of and not any(f in given for f in verb.flags)):
+            missing = [f"--{f.name}" for f in verb.flags if f not in given and f.default is _REQUIRED]
+            if verb.one_of:  # none of its flags is given
+                missing = [" | ".join(f"--{f.name}" for f in verb.flags)]
             raise _usage(group, verb, f"the following arguments are required: {', '.join(missing)}")
     if stray:
         raise _usage(group, verb, f"unrecognized arguments: {' '.join(stray)}")
     if verb is None:  # no group, or a group without a verb: that level's usage
         raise _usage(group, None)
-    return verb, [given.get(f, f.default) for f in verb.flags], given.get(_EPS_FLAG)
+    return verb, values, given.get(_EPS_FLAG)
 
 
 def _usage(group, verb, error: str = "") -> _Stop:

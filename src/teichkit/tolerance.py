@@ -15,7 +15,6 @@ it.  The CLI runs each command inside one such block, with the value of
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 
@@ -35,15 +34,27 @@ def checked_eps(eps) -> float:
     return value
 
 
-@contextlib.contextmanager
-def tolerance(eps: float):
-    """Compare within ``eps``, a positive finite real, inside the block."""
-    eps = checked_eps(eps)
-    token = _EPS.set(eps)
-    try:
-        yield eps
-    finally:
-        _EPS.reset(token)
+class _Block:
+    """The block :func:`tolerance` returns: entering it checks eps and puts it
+    in force, leaving it restores the outer value, also when the block raises."""
+
+    __slots__ = ("_eps", "_token")
+
+    def __init__(self, eps) -> None:
+        self._eps = eps
+
+    def __enter__(self) -> float:
+        eps = checked_eps(self._eps)
+        self._token = _EPS.set(eps)
+        return eps
+
+    def __exit__(self, *exc_info) -> None:
+        _EPS.reset(self._token)
+
+
+def tolerance(eps: float) -> _Block:
+    """Compare within ``eps``, a positive finite real, inside the block; checked on entry."""
+    return _Block(eps)
 
 
 def resolve() -> float:
@@ -60,7 +71,3 @@ def inside_unit(r: float) -> bool:
     """Whether the modulus ``r`` lies in the open band (eps, 1 - eps)."""
     eps = resolve()
     return eps < r < 1.0 - eps
-
-
-# a second name for the same function; callers read the tolerance in force by it
-default_eps = resolve

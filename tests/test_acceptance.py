@@ -44,7 +44,6 @@ from teichkit import (
     cf_expand,
     class_equal,
     classify,
-    default_eps,
     g_identity,
     g_inverse,
     g_mul,
@@ -64,6 +63,7 @@ from teichkit import (
     twin,
     z_action,
 )
+from teichkit.tolerance import resolve
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -138,7 +138,7 @@ def _in_fundamental_domain(tau, eps):
 
 def test_classification_trichotomy_and_conjugation_invariance():
     with acceptance_criterion(1, "classification trichotomy, conjugation invariance", 5.0):
-        eps = default_eps()
+        eps = resolve()
         tol = 100.0 * eps
         rng = random.Random(101)
 
@@ -188,7 +188,7 @@ def test_classification_trichotomy_and_conjugation_invariance():
 
 def test_resonance_order_matches_exhaustive_search():
     with acceptance_criterion(2, "resonance order equals brute-force scan, 10000 pairs", 2.0):
-        eps = default_eps()
+        eps = resolve()
         rng = random.Random(202)
         disagreements = 0
         for i in range(10_000):
@@ -263,7 +263,7 @@ def test_twin_involution_and_collision_search():
 
 def test_fundamental_domain_reduction_with_exact_witness():
     with acceptance_criterion(5, "lattice reduction lands in the fundamental domain", 10.0):
-        eps = default_eps()
+        eps = resolve()
         tol = 100.0 * eps
         rng = random.Random(505)
         reductions = []
@@ -360,7 +360,7 @@ def test_tail_equivalence_and_moebius_images():
 
 def test_twisted_group_laws_and_groupoid_checker():
     with acceptance_criterion(8, "twisted group laws hold; checker flags the broken atlas", 5.0):
-        tol = 100.0 * default_eps()
+        tol = 100.0 * resolve()
         rng = random.Random(808)
         e = g_identity()
         for _ in range(10_000):

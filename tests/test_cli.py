@@ -21,12 +21,12 @@ from teichkit import (
     Resonant,
     TorusTranslation,
     cli,
-    default_eps,
     run_fixtures,
 )
 from teichkit.cli import dispatch, main
 from teichkit.foliation import MAX_ORBIT_POINTS
 from teichkit.jsonio import SchemaError, canonical_dumps, format_float, loads_strict
+from teichkit.tolerance import resolve
 
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -367,20 +367,48 @@ class TestEpsControls:
         assert err.startswith("error: eps must be a positive finite real") and err.count("\n") == 1
 
     def test_default_restored_after_dispatch(self):
-        before = default_eps()
+        before = resolve()
         run(self.ARGS + ["--eps", "0.2"])
-        assert default_eps() == before
+        assert resolve() == before
 
     def test_default_restored_after_error(self):
-        before = default_eps()
+        before = resolve()
         run(["tori", "reduce", "--tau", "1", "-1", "--eps", "0.2"])
-        assert default_eps() == before
+        assert resolve() == before
 
     def test_env_is_read_on_every_dispatch(self, monkeypatch):
         monkeypatch.setenv("TEICHKIT_EPS", "1e-9")
         assert run_json(self.ARGS) == {"in_domain": True}
         monkeypatch.setenv("TEICHKIT_EPS", "0.2")
         assert run_json(self.ARGS) == {"in_domain": False}
+
+
+class TestSuccessPathBuildsOnlyOutput:
+    """A successful call builds what it prints: no JSON decoder per flag and
+    no json.dumps per string, so stdlib helpers are counted where they are
+    looked up at call time."""
+
+    GMUL = ["atlas", "gmul", "--x", '{"a":[[[2,0],[0,0]],[[0,0],[1,0]]],"t":[0,1]}',
+            "--y", '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[1,0]}']
+    PRINTED = '{"result":{"a":[[[2,0],[0,0]],[[0,0],[1,0]]],"t":[2,1]}}\n'
+
+    def test_no_json_decoder_is_built(self, monkeypatch):
+        built, init = [], json.JSONDecoder.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "__init__", counting)
+        assert run(self.GMUL) == (0, self.PRINTED, "")
+        assert built == []
+
+    def test_no_json_dumps_call(self, monkeypatch):
+        calls, dumps = [], json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append(args) or dumps(*args, **kwargs))
+        assert run(self.GMUL) == (0, self.PRINTED, "")
+        assert run(["fol", "leaf", "--alpha", "1/3"]) == (0, '{"kind":"closed","vertical":1,"horizontal":3}\n', "")
+        assert calls == []
 
 
 class TestParserReuse:

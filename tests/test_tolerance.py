@@ -5,6 +5,7 @@ import ast
 import inspect
 import io
 import json
+import re
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -56,10 +57,11 @@ def test_new_thread_starts_at_the_default():
     assert seen == [DEFAULT_EPS]
 
 
-@pytest.mark.parametrize("eps", [0, -1, float("nan"), float("inf")])
+@pytest.mark.parametrize("eps", [0, -1, float("nan"), float("inf"), "x"])
 def test_invalid_values_rejected(eps):
-    with pytest.raises(ValueError):
-        with tolerance(eps):
+    block = tolerance(eps)  # the call only builds the block; entering it checks eps
+    with pytest.raises(ValueError, match=rf"^eps must be a positive finite real, got {re.escape(repr(eps))}$"):
+        with block:
             pass
     assert resolve() == DEFAULT_EPS
 
@@ -104,7 +106,7 @@ def test_tolerance_is_read_only_where_allowed():
         "tori.reduce_fundamental_domain",
         "cli._resolve_eps",
     }
-    names = {"resolve", "default_eps", "_EPS"}
+    names = {"resolve", "_EPS"}
     reads = set()
 
     def visit(node, scope):
