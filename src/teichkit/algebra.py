@@ -51,6 +51,13 @@ class Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    @classmethod
+    def _of(cls, *values):
+        """An instance of these field values, unchecked: the caller decided them."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
+
     def _values(self) -> tuple:
         values = self.__dict__
         return tuple([values[name] for name in self._fields])
@@ -78,6 +85,8 @@ def ensure_finite(z: complex, what: str = "value") -> complex:
     A number is an ``int``, ``float`` or ``complex``, or any other
     ``numbers.Complex`` except ``bool``: numeric strings are refused.
     """
+    if type(z) is complex and cmath.isfinite(z):
+        return z
     if type(z) not in _EXACT_NUMBERS:
         import numbers  # only arguments of other types pay for this import
 
@@ -256,7 +265,7 @@ def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:
     flag is the exact intent instead: the matrix is diagonalizable iff it is
     the scalar matrix, tested entrywise in max norm.
     """
-    l1, l2 = quadratic_roots(m.det, m.trace)
+    l1, l2 = order_by_modulus(*_roots(m.a * m.d - m.b * m.c, m.a + m.d))
     if not within(l1 - l2):
         return l1, l2, True
     return l1, l2, within(max(abs(m.a - l1), abs(m.b), abs(m.c), abs(m.d - l1)))

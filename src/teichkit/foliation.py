@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import Value, _ensure_int, ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotOnCircleError
-from .surd import QuadraticIrrational, continued_fraction_expansion, periodic_state_keys
+from .surd import QuadraticIrrational, _equivalent, continued_fraction_expansion
 from .tolerance import within
 
 Slope = Fraction | QuadraticIrrational
@@ -27,7 +27,8 @@ MAX_ORBIT_POINTS = 10**6  # largest max_points rotation_orbit accepts
 
 
 def _require_slope(alpha: Slope, what: str) -> Slope:
-    if not isinstance(alpha, (Fraction, QuadraticIrrational)):
+    # hot paths test for QuadraticIrrational: isinstance with the ABC Fraction runs Python code
+    if not isinstance(alpha, (QuadraticIrrational, Fraction)):
         raise InvalidInputError(
             f"{what} must be a Fraction or QuadraticIrrational, got {type(alpha).__name__}"
         )
@@ -172,10 +173,9 @@ def cf_expand(alpha: Slope) -> ContinuedFraction:
     no complete quotient repeats within the first 100000 partial quotients.
     """
     _require_slope(alpha, "alpha")
-    if isinstance(alpha, Fraction):
-        return ContinuedFraction(_euclid_quotients(alpha), ())
-    pre, per = continued_fraction_expansion(alpha)
-    return ContinuedFraction(pre, per)
+    if isinstance(alpha, QuadraticIrrational):  # quotients valid by construction
+        return ContinuedFraction._of(*continued_fraction_expansion(alpha))
+    return ContinuedFraction._of(_euclid_quotients(alpha), ())
 
 
 def _euclid_quotients(value: Fraction) -> tuple[int, ...]:
@@ -197,13 +197,10 @@ def morita_equivalent(alpha: Slope, beta: Slope) -> bool:
     quadratic irrationals are equivalent exactly when some integer Moebius
     map of determinant +-1 carries one to the other; by Serret's theorem
     that is a shared continued-fraction tail, detected here as a common
-    exact complete quotient in the two periodic cycles.  Each expansion is
-    subject to the same limit as cf_expand.
+    exact complete quotient in the two cycles.  Unequal discriminants need no
+    expansion, else alpha's cycle and beta's preperiod run under cf_expand's limit.
     """
     _require_slope(alpha, "alpha")
     _require_slope(beta, "beta")
-    if isinstance(alpha, Fraction) and isinstance(beta, Fraction):
-        return True
-    if isinstance(alpha, Fraction) or isinstance(beta, Fraction):
-        return False
-    return bool(periodic_state_keys(alpha) & periodic_state_keys(beta))
+    surd = isinstance(alpha, QuadraticIrrational)  # both rational, or equivalent surds
+    return surd is isinstance(beta, QuadraticIrrational) and (not surd or _equivalent(alpha, beta))

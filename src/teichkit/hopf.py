@@ -92,7 +92,11 @@ def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
     """
     lambda_big = ensure_finite(lambda_big, "lambda_big")
     lambda_small = ensure_finite(lambda_small, "lambda_small")
-    b, s = abs(lambda_big), abs(lambda_small)
+    try:
+        b, s = abs(lambda_big), abs(lambda_small)
+    except OverflowError:  # finite parts whose modulus is past float range; hypot gives inf
+        what = "lambda_big" if math.hypot(lambda_big.real, lambda_big.imag) == math.inf else "lambda_small"
+        raise InvalidInputError(f"{what} modulus is past float range") from None
     if not 0.0 < b < 1.0:
         raise InvalidInputError("lambda_big modulus must lie strictly inside (0, 1)")
     if s <= 0.0 or s > b + resolve():
@@ -114,22 +118,22 @@ def classify(data: ContractionInput) -> HopfClass:
     with eigenvalues (lam, lam**p); with c != 0 the class is Resonant(lam, p)
     independently of c (conjugating by (z, w) -> (c*z, w) rescales c to 1).
     A matrix's roots are solved once, by eigen2, and their moduli tested as
-    is_contracting tests them.
+    is_contracting tests them; a class decided here is built unchecked.
     """
     if isinstance(data, Matrix2C):
         l1, l2, diagonalizable = eigen2(data)
         if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
             raise NotContractingError("matrix eigenvalue moduli must lie in (0, 1)")
         if diagonalizable:
-            return Diagonal(l1, l2)
-        return Resonant(l1, 1)
+            return Diagonal._of(l1, l2)
+        return Resonant._of(l1, 1)
     if isinstance(data, ResonantForm):
         if not inside_unit(abs(data.lam)):
             raise NotContractingError("resonant form requires 0 < |lam| < 1")
-        if within(data.c):
+        if within(data.c):  # |lam**p| may fall below the band, so Diagonal decides
             big, small = order_by_modulus(data.lam, data.lam**data.p)
             return Diagonal(big, small)
-        return Resonant(data.lam, data.p)
+        return Resonant._of(data.lam, data.p)
     raise InvalidInputError(f"unsupported contraction input {data!r}")
 
 

@@ -6,6 +6,11 @@ Equality and hashing go through the canonical integer minimal polynomial
 plus the branch sign, so differently scaled representations of one number
 compare equal.  Everything in this module is exact integer arithmetic; no
 floats enter any decision.
+
+By Galois' theorem (Perron, Kettenbrueche, section 23; Cohen, section 5.7)
+(p + sqrt(d)) / q is purely periodic iff reduced: > 1, conjugate in (-1, 0),
+that is 0 <= s - p < q <= s + p with s = isqrt(d).  The preperiod runs to the
+first reduced state, the period until that state comes back.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ class QuadraticIrrational(Value):
         return (self.p + math.sqrt(self.d)) / self.q
 
     def __floor__(self) -> int:
-        return _surd_floor(self.p, self.q, math.isqrt(self.d))
+        # sqrt(d) is in (s, s + 1), s = isqrt(d), so for q < 0 the floor is that of (p + s + 1) / q
+        return (self.p + math.isqrt(self.d) + (self.q < 0)) // self.q
 
     def __str__(self) -> str:
         return f"({self.p}+sqrt({self.d}))/{self.q}"
@@ -75,37 +81,35 @@ def _key(p: int, q: int, d: int) -> tuple[int, int, int, int]:
     return (a // g, b // g, c // g, 1 if q > 0 else -1)
 
 
-def _surd_floor(p: int, q: int, s: int) -> int:
-    """Exact floor of (p + sqrt(d)) / q, given s = isqrt(d); d non-square
-    so the value is never an integer boundary case."""
-    if q > 0:
-        return (p + s) // q
-    return -((p + s) // (-q)) - 1
-
-
-def _expansion_states(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, int]], int]:
-    """Run the continued-fraction recursion until a surd state repeats.
-
-    Returns (quotients, states, cycle_start).  The state (p, q) determines
-    its successor, so the first repeated state marks the exact cycle.  Each
-    state keeps the invariant q | d - p**2 of x: p' = a*q - p keeps d - p'**2
-    = d - p**2 mod q, so q' = (d - p'**2) / q is exact and q' | d - p'**2.
-    """
-    p, q, d = x.p, x.q, x.d
-    s = math.isqrt(d)
-    seen: dict[tuple[int, int], int] = {}
-    quotients: list[int] = []
-    while (p, q) not in seen:
-        if len(quotients) > _MAX_CF_STEPS:
-            raise LimitExceededError(
-                f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients"
-            )
-        seen[(p, q)] = len(quotients)
-        a = _surd_floor(p, q, s)
+def _first_reduced(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, int]], int, int, int]:
+    """(quotients, states, p, q, s): x's preperiod, first reduced state and isqrt(d).
+    p' = a*q - p keeps d - p'**2 = d - p**2 mod q, so each q' = (d - p'**2) / q is exact."""
+    p, q, d, s = x.p, x.q, x.d, math.isqrt(x.d)
+    quotients, states = [], []
+    for _ in range(_MAX_CF_STEPS + 1):
+        if 0 <= s - p < q <= s + p:
+            return quotients, states, p, q, s
+        states.append((p, q))
+        a = (p + s + (q < 0)) // q  # the floor, as in __floor__
         p = a * q - p
         q = (d - p * p) // q
         quotients.append(a)
-    return quotients, list(seen), seen[(p, q)]
+    raise LimitExceededError(f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients")
+
+
+def _expansion_states(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, int]], int]:
+    """(quotients, states, cycle_start) of x to the end of its first period; q > 0 in the cycle."""
+    quotients, states, p, q, s = _first_reduced(x)
+    d, k, p0, q0 = x.d, len(quotients), p, q
+    for _ in range(_MAX_CF_STEPS + 1 - k):
+        states.append((p, q))
+        a = (p + s) // q
+        p = a * q - p
+        q = (d - p * p) // q
+        quotients.append(a)
+        if q == q0 and p == p0:
+            return quotients, states, k
+    raise LimitExceededError(f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients")
 
 
 def continued_fraction_expansion(
@@ -126,6 +130,21 @@ def periodic_state_keys(x: QuadraticIrrational) -> frozenset[tuple[int, int, int
     """
     _, states, k = _expansion_states(x)
     return frozenset(_key(p, q, x.d) for p, q in states[k:])
+
+
+def _equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
+    """Whether x and y share a continued-fraction tail: unequal discriminants of
+    their keys say no, else y's first reduced state is sought in x's cycle.  A
+    cycle state (p, q) has key (q, -2*p, (p*p - d) / q) / g, and no step changes
+    the content g = |q| / a; the discriminant fixes the third entry."""
+    a, b, c, _ = _key(x.p, x.q, x.d)
+    e, f, h, _ = _key(y.p, y.q, y.d)
+    if b * b - 4 * a * c != f * f - 4 * e * h:
+        return False
+    gx, gy = abs(x.q) // a, abs(y.q) // e
+    _, _, p, q, _ = _first_reduced(y)
+    _, states, k = _expansion_states(x)
+    return (p * gx, q * gx) in [(u * gy, v * gy) for u, v in states[k:]]
 
 
 def moebius_surd(m: IntMatrix2, x: QuadraticIrrational) -> QuadraticIrrational:

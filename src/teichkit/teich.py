@@ -18,7 +18,7 @@ base twin, the one-sided adherence that makes the space non-Hausdorff.
 
 from __future__ import annotations
 
-from .algebra import Value, _roots, ensure_finite, ensure_real, quadratic_roots
+from .algebra import Value, _roots, ensure_finite, ensure_real, order_by_modulus, quadratic_roots
 from .errors import InvalidPointError, SamePointError
 from .hopf import Diagonal, HopfClass, Resonant, resonance_order
 from .tolerance import inside_unit, within
@@ -114,7 +114,7 @@ def twin(x: TeichPoint) -> TeichPoint | None:
     if isinstance(x, CurvePoint):
         det, trace = _curve_image(x.order, x.lam)
         return BasePoint(det, trace)
-    r1, r2 = quadratic_roots(x.det, x.trace)
+    r1, r2 = order_by_modulus(*_roots(x.det, x.trace))
     if within(r1 - r2):
         return CurvePoint(1, 0.5 * (r1 + r2))
     p = resonance_order(r1, r2)

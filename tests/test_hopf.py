@@ -99,6 +99,14 @@ class TestResonanceOrder:
         with pytest.raises(InvalidInputError):
             resonance_order(0.5, 0.0)
 
+    def test_modulus_past_float_range_names_the_argument(self):
+        # both parts are finite, but abs() of the value overflows
+        huge = complex(1.3e308, 1.3e308)
+        with pytest.raises(InvalidInputError, match="^lambda_small modulus is past float range$"):
+            resonance_order(0.5, huge)
+        with pytest.raises(InvalidInputError, match="^lambda_big modulus is past float range$"):
+            resonance_order(huge, 0.5)
+
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=300)
     def test_agrees_with_brute_force(self, seed):

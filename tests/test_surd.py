@@ -4,19 +4,23 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teichkit import (
+    ContinuedFraction,
     IntMatrix2,
     InvalidInputError,
+    LimitExceededError,
     QuadraticIrrational,
     SingularMatrixError,
+    cf_expand,
     continued_fraction_expansion,
     morita_equivalent,
     moebius_surd,
     periodic_state_keys,
 )
+from teichkit import surd
 from teichkit.surd import _expansion_states, _key
 from oracles import random_unimodular, surd_cycle
 
@@ -209,6 +213,93 @@ class TestCycleStates:
         for x in surds:
             periodic_state_keys(x)
         assert calls == []
+
+
+@st.composite
+def wide_surds(draw):
+    """(p*k + sqrt(d*k*k)) / (q*k) with |p| <= 10**6, q of either sign, d <= 10**6 a
+    non-square with q | d - p**2 (so no rescale grows d), and k a scale."""
+    p = draw(st.integers(min_value=-(10**6), max_value=10**6))
+    q = draw(st.integers(min_value=1, max_value=10**6))
+    r = p * p % q
+    d = r + q * draw(st.integers(min_value=0, max_value=(10**6 - r) // q))
+    assume(d >= 2 and math.isqrt(d) ** 2 != d)
+    k = draw(st.integers(min_value=1, max_value=5))
+    return QuadraticIrrational(p * k, q * k * draw(st.sampled_from((1, -1))), d * k * k)
+
+
+class TestGaloisPeriod:
+    """The period found by the reduced test, against the state-by-state oracle."""
+
+    @given(wide_surds())
+    @settings(max_examples=150, deadline=None)
+    def test_expansion_and_keys_match_reference(self, x):
+        quotients, k, keys = surd_cycle(x)
+        assert continued_fraction_expansion(x) == (tuple(quotients[:k]), tuple(quotients[k:]))
+        assert periodic_state_keys(x) == keys
+
+    @given(wide_surds(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=-40, max_value=40),
+           st.sampled_from((1, 2, 3, -1, -2, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_morita_matches_reference_keys(self, x, seed, p, q):
+        keys = surd_cycle(x)[2]
+        image = moebius_surd(random_unimodular(random.Random(seed), length=6), x)
+        assert morita_equivalent(x, image) and morita_equivalent(image, x)
+        other = QuadraticIrrational(p, q, x.d)  # the same field, often the same discriminant
+        want = bool(keys & surd_cycle(other)[2])
+        assert morita_equivalent(x, other) == morita_equivalent(other, x) == want
+
+    @pytest.mark.parametrize(
+        "x, y, expanded, want",
+        [
+            # the same field, discriminants 8 and 32: no expansion
+            (SQRT2, QuadraticIrrational(0, 1, 8), False, False),
+            # discriminant 40 twice, but x**2 - 10*y**2 and 2*x**2 - 5*y**2 are not equivalent
+            (QuadraticIrrational(0, 1, 10), QuadraticIrrational(0, 2, 10), True, False),
+            (SQRT2, moebius_surd(IntMatrix2(2, 1, 1, 1), SQRT2), True, True),
+            (GOLDEN, moebius_surd(IntMatrix2(3, -5, -1, 2), GOLDEN), True, True),
+        ],
+    )
+    def test_each_branch_decides(self, monkeypatch, x, y, expanded, want):
+        assert bool(surd_cycle(x)[2] & surd_cycle(y)[2]) is want
+        calls = []
+        first_reduced = surd._first_reduced
+        monkeypatch.setattr(surd, "_first_reduced", lambda z: calls.append(z) or first_reduced(z))
+        assert morita_equivalent(x, y) is want
+        assert bool(calls) is expanded
+
+    def test_preperiod_ends_at_the_first_reduced_state(self):
+        # 3 + sqrt(2) has q > 0 and s - p < q <= s + p, but a positive conjugate
+        assert continued_fraction_expansion(QuadraticIrrational(3, 1, 2)) == ((4,), (2,))
+
+
+def refusal_cases() -> list[QuadraticIrrational]:
+    """Surds whose expansions need 2 to 19 quotients, on both sides of limits 0-12."""
+    rng = random.Random(20261020)
+    roots = [QuadraticIrrational(0, 1, d) for d in (2, 3, 7, 13, 19, 31, 43, 46, 94)]
+    images = [moebius_surd(random_unimodular(rng, length=rng.randint(1, 10)), rng.choice(roots)) for _ in range(60)]
+    return grid_and_images()[::7] + roots + images
+
+
+class TestRefusalCount:
+    """A limit of m refuses exactly the expansions of more than m + 1 quotients."""
+
+    @pytest.mark.parametrize("limit", range(13))
+    def test_refused_exactly_past_the_limit(self, monkeypatch, limit):
+        monkeypatch.setattr(surd, "_MAX_CF_STEPS", limit)
+        for x in refusal_cases():
+            quotients, k, keys = surd_cycle(x)
+            if len(quotients) > limit + 1:
+                for expand in (cf_expand, continued_fraction_expansion, periodic_state_keys):
+                    with pytest.raises(LimitExceededError, match=f"within {limit} partial"):
+                        expand(x)
+            else:
+                assert cf_expand(x) == ContinuedFraction(tuple(quotients[:k]), tuple(quotients[k:]))
+                assert periodic_state_keys(x) == keys
+
+    def test_unequal_discriminants_need_no_expansion(self, monkeypatch):
+        monkeypatch.setattr(surd, "_MAX_CF_STEPS", 0)
+        assert morita_equivalent(SQRT2, GOLDEN) is False
 
 
 class TestMoebiusSurd:
