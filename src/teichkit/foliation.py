@@ -117,17 +117,17 @@ class ContinuedFraction(Value):
 def leaf_descriptor(alpha: Slope) -> LeafDescriptor:
     """Leaf type of the slope-alpha linear foliation."""
     _require_slope(alpha, "alpha")
-    if isinstance(alpha, Fraction):
-        return ClosedLeaf(alpha.numerator, alpha.denominator)
-    return DenseLine()
+    if isinstance(alpha, QuadraticIrrational):
+        return DenseLine()
+    return ClosedLeaf(alpha.numerator, alpha.denominator)
 
 
 def leaf_space(alpha: Slope) -> LeafSpace:
     """Quotient of the torus by the foliation, up to homeomorphism."""
     _require_slope(alpha, "alpha")
-    if isinstance(alpha, Fraction):
-        return Circle(alpha.denominator)
-    return NonHausdorffQuotient()
+    if isinstance(alpha, QuadraticIrrational):
+        return NonHausdorffQuotient()
+    return Circle(alpha.denominator)
 
 
 def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
@@ -147,10 +147,10 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     z0 = ensure_finite(z0, "z0")
     if not within(abs(z0) - 1.0):
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
-    if isinstance(alpha, Fraction):
-        count, turn = min(alpha.denominator, max_points), alpha % 1
-    else:
+    if isinstance(alpha, QuadraticIrrational):
         count, turn = max_points, QuadraticIrrational(alpha.p - math.floor(alpha) * alpha.q, alpha.q, alpha.d)
+    else:
+        count, turn = min(alpha.denominator, max_points), alpha % 1
     try:
         step = cmath.exp(2j * math.pi * float(turn))
     except OverflowError:  # a surd whose reduced terms are past float range

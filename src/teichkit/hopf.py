@@ -17,7 +17,7 @@ import math
 
 from .algebra import Matrix2C, Value, _ensure_int, _roots, eigen2, ensure_finite, order_by_modulus
 from .errors import InvalidInputError, NotContractingError
-from .tolerance import inside_unit, resolve, within
+from .tolerance import above, below, inside_unit, within
 
 # |lam|**p reaches any sensible tolerance long before this cap
 RESONANCE_MAX_ORDER = 64
@@ -50,7 +50,7 @@ class Diagonal(Value):
         l2 = ensure_finite(lambda2, "lambda2")
         if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
             raise InvalidInputError("eigenvalue moduli must lie strictly inside (0, 1)")
-        if abs(l1) < abs(l2) - resolve():
+        if below(abs(l1), abs(l2)):
             raise InvalidInputError("Diagonal expects moduli in descending order")
         self.__dict__.update(lambda1=l1, lambda2=l2)
 
@@ -99,7 +99,7 @@ def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
         raise InvalidInputError(f"{what} modulus is past float range") from None
     if not 0.0 < b < 1.0:
         raise InvalidInputError("lambda_big modulus must lie strictly inside (0, 1)")
-    if s <= 0.0 or s > b + resolve():
+    if s <= 0.0 or above(s, b):
         raise InvalidInputError("expected 0 < |lambda_small| <= |lambda_big|")
     if within(b - s):
         candidate = 1

@@ -1,11 +1,9 @@
 """One comparison tolerance, carried in a context, and the one way to compare.
 
-Every approximate decision calls :func:`within` or :func:`inside_unit`, so
-floating noise is handled in one place; only three one-sided margin bounds,
-in ``hopf.Diagonal``, ``hopf.resonance_order`` and
-``tori.reduce_fundamental_domain``, read :func:`resolve` in place.  The
-value lives in a :class:`contextvars.ContextVar` (PEP 567) whose default is
-``DEFAULT_EPS``.  ``with tolerance(eps):`` puts ``eps`` in force for the
+Every approximate decision calls :func:`within`, :func:`inside_unit`,
+:func:`below` or :func:`above`, so floating noise is handled in one place.
+The value lives in a :class:`contextvars.ContextVar` (PEP 567) whose default
+is ``DEFAULT_EPS``.  ``with tolerance(eps):`` puts ``eps`` in force for the
 block, value-object constructors included, and restores the outer value on
 exit, also when the block raises.  The value is per thread: a new thread
 starts at ``DEFAULT_EPS``, whatever is in force in the thread that started
@@ -71,3 +69,13 @@ def inside_unit(r: float) -> bool:
     """Whether the modulus ``r`` lies in the open band (eps, 1 - eps)."""
     eps = resolve()
     return eps < r < 1.0 - eps
+
+
+def below(x: float, y: float) -> bool:
+    """Whether ``x < y - eps``: x lies below y by more than eps."""
+    return x < y - resolve()
+
+
+def above(x: float, y: float) -> bool:
+    """Whether ``x > y + eps``: x lies above y by more than eps."""
+    return x > y + resolve()

@@ -16,7 +16,7 @@ import math
 
 from .algebra import IntMatrix2, Value, ensure_finite, ensure_real
 from .errors import InvalidInputError, MismatchedFiberError, NotUnimodularError
-from .tolerance import resolve, within
+from .tolerance import above, below, within
 
 S = IntMatrix2(0, -1, 1, 0)
 T = IntMatrix2(1, 1, 0, 1)
@@ -56,7 +56,6 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
     A is kept as four exact ints, left-multiplied in place by T**-n and S,
     and one IntMatrix2 is built at the end.
     """
-    eps = resolve()
     tau = require_upper_half(tau)
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_MAX_REDUCE_STEPS):
@@ -64,7 +63,7 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
         if n:
             tau = tau - n
             a, b = a - n * c, b - n * d
-        if abs(tau) < 1.0 - eps:
+        if below(abs(tau), 1.0):
             tau = -1.0 / tau
             if math.isinf(tau.real) or math.isinf(tau.imag):  # |tau| too small for 1/tau to be finite
                 raise InvalidInputError("tau is too close to 0 to invert in floating point")
@@ -74,10 +73,10 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
     else:
         raise RuntimeError("fundamental-domain reduction did not terminate")
     # glue boundary representatives to the canonical side
-    if abs(abs(tau) - 1.0) <= eps and tau.real > eps:
+    if within(abs(tau) - 1.0) and above(tau.real, 0.0):
         tau = -1.0 / tau
         a, b, c, d = -c, -d, a, b
-    if tau.real >= 0.5 - eps:
+    if not below(tau.real, 0.5):
         tau = tau - 1
         a, b = a - c, b - d
     return tau, IntMatrix2(a, b, c, d)

@@ -130,12 +130,44 @@ def letter_reduction(tau: complex, eps: float = 1e-9, max_steps: int = 2000) -> 
     return tau, witness
 
 
+def _surd_exceeds(a: int, p: int, q: int, d: int) -> bool:
+    """Whether (p + sqrt(d)) / q > a, for d a positive non-square, by squaring.
+
+    Multiplying by q turns the test into sqrt(d) > a*q - p when q > 0 and
+    sqrt(d) < a*q - p when q < 0; the value is irrational, so never equal.
+    """
+    t = a * q - p
+    if q > 0:
+        return t < 0 or t * t < d
+    return t > 0 and t * t > d
+
+
+def surd_floor(p: int, q: int, d: int) -> int:
+    """floor((p + sqrt(d)) / q) for d a positive non-square, exactly.
+
+    The largest a with a < (p + sqrt(d)) / q, bracketed by doubling and
+    found by bisection on _surd_exceeds; no isqrt, no float.
+    """
+    lo, hi = -1, 1
+    while not _surd_exceeds(lo, p, q, d):
+        lo *= 2
+    while _surd_exceeds(hi, p, q, d):
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _surd_exceeds(mid, p, q, d):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def surd_cycle(x: QuadraticIrrational) -> tuple[list[int], int, frozenset]:
     """(quotients, cycle start, keys of the periodic complete quotients) of x.
 
     The state recursion of the continued fraction, with every complete
-    quotient built as a QuadraticIrrational: its partial quotient is that
-    value's floor and its key that value's canonical_key.
+    quotient built as a QuadraticIrrational: its partial quotient is
+    surd_floor of that value and its key that value's canonical_key.
     """
     p, q, d = x.p, x.q, x.d
     seen: dict[tuple[int, int], int] = {}
@@ -144,7 +176,7 @@ def surd_cycle(x: QuadraticIrrational) -> tuple[list[int], int, frozenset]:
         seen[(p, q)] = len(quotients)
         state = QuadraticIrrational(p, q, d)
         keys.append(state.canonical_key())
-        a = math.floor(state)
+        a = surd_floor(state.p, state.q, state.d)
         quotients.append(a)
         p = a * q - p
         q = (d - p * p) // q

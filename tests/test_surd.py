@@ -22,7 +22,7 @@ from teichkit import (
 )
 from teichkit import surd
 from teichkit.surd import _expansion_states, _key
-from oracles import random_unimodular, surd_cycle
+from oracles import random_unimodular, surd_cycle, surd_floor
 
 SQRT2 = QuadraticIrrational(0, 1, 2)
 GOLDEN = QuadraticIrrational(1, 2, 5)
@@ -100,6 +100,26 @@ class TestFloor:
         f = math.floor(x)
         v = float(x)
         assert f - 1e-9 <= v < f + 1 + 1e-9
+
+    def test_oracle_floor_matches_float_on_small_inputs(self):
+        # |sqrt(d) - m| >= 1/(sqrt(d) + |m|) for an integer m, so with d <= 31
+        # and |q| <= 12 each value lies more than 1/150 from any integer, far
+        # beyond float rounding: the float floor is exact
+        for d in _NON_SQUARES:
+            for q in range(-12, 13):
+                for p in range(-30, 31):
+                    if q:
+                        assert surd_floor(p, q, d) == math.floor((p + math.sqrt(d)) / q), (p, q, d)
+
+    @given(
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=-(10**20), max_value=10**20).filter(lambda q: q != 0),
+        st.integers(min_value=2, max_value=10**60),
+    )
+    def test_floor_matches_oracle_at_any_size(self, p, q, d):
+        assume(math.isqrt(d) ** 2 != d)
+        x = QuadraticIrrational(p, q, d)
+        assert math.floor(x) == surd_floor(p, q, d)
 
 
 class TestContinuedFraction:

@@ -16,8 +16,8 @@ import teichkit
 import test_cli
 from teichkit import DEFAULT_EPS, Diagonal, Matrix2C, algebra, atlas, classify, foliation, hopf, teich, tori
 from teichkit.cli import dispatch
-from teichkit.errors import MismatchedFiberError, NotOnCircleError, SingularMatrixError
-from teichkit.tolerance import inside_unit, resolve, tolerance, within
+from teichkit.errors import InvalidInputError, MismatchedFiberError, NotOnCircleError, SingularMatrixError
+from teichkit.tolerance import above, below, inside_unit, resolve, tolerance, within
 
 
 def test_nested_blocks_restore_the_outer_value():
@@ -97,15 +97,10 @@ def test_no_public_callable_takes_eps(module):
 
 
 def test_tolerance_is_read_only_where_allowed():
-    # Every decision goes through within or inside_unit.  Outside tolerance.py
-    # the value in force is read only by the three one-sided margin bounds,
-    # and by the CLI, which hands the caller's value on without comparing.
-    allowed = {
-        "hopf.Diagonal.__init__",
-        "hopf.resonance_order",
-        "tori.reduce_fundamental_domain",
-        "cli._resolve_eps",
-    }
+    # Every decision goes through within, inside_unit, below or above.
+    # Outside tolerance.py the value in force is read only by the CLI, which
+    # hands the caller's value on without comparing.
+    allowed = {"cli._resolve_eps"}
     names = {"resolve", "_EPS"}
     reads = set()
 
@@ -243,3 +238,63 @@ def test_group_element_det_is_relative(boundary_eps, s, factor, singular):
             atlas.GroupElement(m, 0)
     else:
         assert atlas.GroupElement(m, 0).a == m
+
+
+# One-sided margins: x lies below y only when x < y - eps, so at 0.5 and 1
+# times eps nothing is decided and at 2 times eps the call decides.
+@pytest.mark.parametrize("factor, tie", OFFSETS)
+@pytest.mark.parametrize("y", [0.0, 0.5, 1.0])
+def test_below_and_above_are_strict_past_eps(boundary_eps, factor, tie, y):
+    off = factor * EPS
+    assert below(y - off, y) is not tie
+    assert above(y + off, y) is not tie
+    assert not below(y + off, y)
+    assert not above(y - off, y)
+
+
+@pytest.mark.parametrize("factor, tie", OFFSETS)
+def test_diagonal_order_margin(boundary_eps, factor, tie):
+    l1 = 0.5 - factor * EPS
+    if tie:
+        assert Diagonal(l1, 0.5).lambda1 == l1
+    else:
+        with pytest.raises(InvalidInputError, match="descending order"):
+            Diagonal(l1, 0.5)
+
+
+@pytest.mark.parametrize("factor, tie", OFFSETS)
+def test_resonance_order_modulus_margin(boundary_eps, factor, tie):
+    small = 0.5 + factor * EPS
+    if tie:
+        assert hopf.resonance_order(0.5, small) == 1
+    else:
+        with pytest.raises(InvalidInputError, match="expected 0 < "):
+            hopf.resonance_order(0.5, small)
+
+
+@pytest.mark.parametrize("factor, tie", OFFSETS)
+def test_reduce_glues_the_arc_past_eps(boundary_eps, factor, tie):
+    # |x + i| rounds to within eps of 1, so only Re > eps crosses to Re <= 0
+    tau = factor * EPS + 1j
+    if tie:
+        assert tori.reduce_fundamental_domain(tau) == (tau, tori.IntMatrix2.identity())
+    else:
+        assert tori.reduce_fundamental_domain(tau) == (-1.0 / tau, tori.S)
+
+
+@pytest.mark.parametrize("factor, tie", OFFSETS)
+def test_reduce_moves_the_right_edge_within_eps(boundary_eps, factor, tie):
+    tau = (0.5 - factor * EPS) + 2j
+    if tie:
+        assert tori.reduce_fundamental_domain(tau) == (tau - 1, tori.translation_matrix(-1))
+    else:
+        assert tori.reduce_fundamental_domain(tau) == (tau, tori.IntMatrix2.identity())
+
+
+@pytest.mark.parametrize("factor, tie", OFFSETS)
+def test_reduce_inverts_only_past_eps(boundary_eps, factor, tie):
+    tau = 1j * (1.0 - factor * EPS)
+    if tie:
+        assert tori.reduce_fundamental_domain(tau) == (tau, tori.IntMatrix2.identity())
+    else:
+        assert tori.reduce_fundamental_domain(tau) == (-1.0 / tau, tori.S)
