@@ -11,13 +11,14 @@ eps is --eps, else the TEICHKIT_EPS environment variable, else the tolerance
 already in force where dispatch was called; nothing outlives the block.
 
 Every verb is one row of VERBS: its group, name, help text, typed flags and
-the library call, whose values canonical_dumps writes; no row encodes.  The
-parser and dispatch both read only that table.  A flag's kind (KINDS) says
-how many tokens the parser takes for it and how it converts them, and how
-dispatch decodes the result.  Decoding runs inside dispatch, inside the
-tolerance block, so that schema and domain errors keep their exit codes;
-library and jsonio functions are looked up when called, never captured when
-the table is built.
+the library call, whose values canonical_dumps writes in the shapes of
+jsonio.wire (a check report, a leaf, a continued fraction); no row
+encodes.  The parser and dispatch both read only that table.  A flag's kind
+(KINDS) says how many tokens the parser takes for it and how it converts
+them, and how dispatch decodes the result.  Decoding runs inside dispatch,
+inside the tolerance block, so that schema and domain errors keep their exit
+codes; library and jsonio functions are looked up when called, never
+captured when the table is built.
 
 A command imports only what it uses.  The kernel modules are bound here as
 stand-ins (teichkit._Deferred) that import the module the first time a row
@@ -206,41 +207,6 @@ def _classify(matrix, resonant) -> dict:
     return {**wire(cls), "det_trace": [d, t]}
 
 
-def _leaf(descriptor) -> dict:
-    if isinstance(descriptor, foliation.ClosedLeaf):
-        return {"kind": "closed", "vertical": descriptor.vertical, "horizontal": descriptor.horizontal}
-    return {"kind": "dense_line"}
-
-
-def _leaf_space(space) -> dict:
-    if isinstance(space, foliation.Circle):
-        return {"kind": "circle", "deck_order": space.deck_order}
-    return {"kind": "non_hausdorff"}
-
-
-def _continued_fraction(cf) -> dict:
-    return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
-
-
-def _check_report(report) -> dict:
-    return {
-        "structure": report.structure,
-        "samples": report.samples,
-        "seed": report.seed,
-        "passed": report.passed,
-        "laws": [
-            {
-                "name": law.name,
-                "passed": law.passed,
-                "checked": law.checked,
-                "failures": law.failures,
-                "counterexample": law.counterexample,
-            }
-            for law in report.laws
-        ],
-    }
-
-
 def _fixture_summary(directory: str):
     from .fixtures import run_fixtures
 
@@ -328,11 +294,11 @@ VERBS = (
          (Flag("center", "teich_point"), Flag("radius", "float"), Flag("x", "teich_point")),
          lambda center, radius, x: {"contains": teich.neighborhood_contains(center, radius, x)}),
     Verb("fol", "leaf", "leaf type of a slope", (Flag("alpha", "slope", help='"num/den" or {"p","q","d"} JSON'),),
-         lambda alpha: _leaf(foliation.leaf_descriptor(alpha))),
+         lambda alpha: foliation.leaf_descriptor(alpha)),
     Verb("fol", "leafspace", "leaf space of a slope", (Flag("alpha", "slope"),),
-         lambda alpha: _leaf_space(foliation.leaf_space(alpha))),
+         lambda alpha: foliation.leaf_space(alpha)),
     Verb("fol", "cf", "exact continued fraction of a slope", (Flag("alpha", "slope"),),
-         lambda alpha: _continued_fraction(foliation.cf_expand(alpha))),
+         lambda alpha: foliation.cf_expand(alpha)),
     Verb("fol", "morita", "Morita equivalence of rotation groupoids", (Flag("alpha", "slope"), Flag("beta", "slope")),
          lambda alpha, beta: {"equivalent": foliation.morita_equivalent(alpha, beta)}),
     Verb("fol", "orbit", "rotation orbit on the unit circle",
@@ -353,7 +319,7 @@ VERBS = (
          lambda g, m, structure: {"point": atlas.target(g, m, structure)}),
     Verb("atlas", "check", "randomized groupoid-law verification",
          (Flag("structure", "structure"), Flag("samples", "int", default=1000), Flag("seed", "int", default=0)),
-         lambda structure, samples, seed: _check_report(atlas.groupoid_check(structure, samples, seed))),
+         lambda structure, samples, seed: atlas.groupoid_check(structure, samples, seed)),
     Verb("fixtures", "run", "run every fixture in a directory",
          (Flag("dir", "text", help="directory of fixture JSON files"),), _fixture_summary),
 )

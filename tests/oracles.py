@@ -4,7 +4,9 @@ Everything here is deliberately naive (exhaustive search, direct formulas)
 and shares no algorithmic structure with the library paths it checks, save
 the step-by-step replays letter_reduction, surd_cycle and the stepwise_*
 atlas draws and action: they take the library's steps but build a validated
-value object at every step, where the library keeps plain numbers.
+value object at every step, where the library keeps plain numbers; and
+reference_groupoid_check, the checker's loop with one act per law, kept as
+it was before the checker acted once per (m, g).
 """
 
 from __future__ import annotations
@@ -14,7 +16,23 @@ import math
 import random
 from fractions import Fraction
 
-from teichkit import AtlasPoint, GroupElement, IntMatrix2, Matrix2C, QuadraticIrrational, moebius, moebius_surd
+from teichkit import AtlasPoint, GroupElement, IntMatrix2, Matrix2C, QuadraticIrrational, moebius_surd
+from teichkit.atlas import (
+    _LAW_NAMES,
+    AtlasStructure,
+    CheckReport,
+    LawResult,
+    _draw_atlas_point,
+    _draw_group_element,
+    _points_close,
+    g_identity,
+    g_mul,
+    source,
+    target,
+    z_action,
+)
+from teichkit.errors import TeichkitError
+from teichkit.hopf import is_contracting
 
 
 def brute_resonance_order(big: complex, small: complex, eps: float, max_order: int = 64) -> int | None:
@@ -79,7 +97,9 @@ def tori_witness_search(tau1: complex, tau2: complex, box: int = 50, tol: float 
     """SL2(Z) matrix with entries bounded by the box mapping tau1 to tau2.
 
     For each coprime bottom row (c, d) the top row is forced by the linear
-    system a*tau1 + b = tau2*(c*tau1 + d); accept when it is integral.
+    system a*tau1 + b = tau2*(c*tau1 + d); accept when it is integral and
+    (a*tau1 + b)/(c*tau1 + d), computed here rather than by the library's
+    moebius, lands on tau2.
     """
     for c in range(-box, box + 1):
         for d in range(-box, box + 1):
@@ -93,9 +113,8 @@ def tori_witness_search(tau1: complex, tau2: complex, box: int = 50, tol: float 
                 continue
             if ra * d - rb * c != 1:
                 continue
-            m = IntMatrix2(ra, rb, c, d)
-            if abs(moebius(m, tau1) - tau2) <= tol:
-                return m
+            if abs((ra * tau1 + rb) / (c * tau1 + d) - tau2) <= tol:
+                return IntMatrix2(ra, rb, c, d)
     return None
 
 
@@ -187,8 +206,10 @@ def surd_cycle(x: QuadraticIrrational) -> tuple[list[int], int, frozenset]:
 def surd_witness_search(x: QuadraticIrrational, y: QuadraticIrrational, box: int = 20) -> IntMatrix2 | None:
     """GL2(Z) matrix with |entries| <= box carrying x to y, if one exists.
 
-    Enumerates (b, c, det) and factors the forced product a*d = det + b*c;
-    the Moebius image is computed with exact surd arithmetic.
+    Enumerates (b, c, det) and factors the forced product a*d = det + b*c.
+    The Moebius image is the library's moebius_surd: deciding that it equals
+    y needs exact arithmetic in Q(sqrt d), which no naive formula here
+    replaces, so this search checks the witness, not the surd arithmetic.
     """
     for b in range(-box, box + 1):
         for c in range(-box, box + 1):
@@ -372,3 +393,67 @@ def random_dyadic_jordan(rng: random.Random) -> Matrix2C:
     basis = random_unimodular(rng, rng.randrange(0, 4))
     u, u_inv = (Matrix2C(x.a, x.b, x.c, x.d) for x in (basis, basis.inverse()))
     return u @ (jordan @ u_inv)
+
+
+def reference_groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0, tol: float = 1e-6) -> CheckReport:
+    """groupoid_check's sample loop as it was before m.g was computed once:
+    three acts with (m, g) per sample, source and target compared under the
+    twist, and closure decided by is_contracting(image.a) for every image.
+    The draws are the library's; inputs are not validated."""
+    rng = random.Random(seed)
+    failures = {name: 0 for name in _LAW_NAMES}
+    first: dict[str, dict | None] = {name: None for name in _LAW_NAMES}
+
+    def record(law: str, detail: str, **inputs) -> None:
+        failures[law] += 1
+        if first[law] is None:
+            first[law] = {"detail": detail, **inputs}
+
+    for _ in range(samples):
+        m = _draw_atlas_point(rng)
+        g = _draw_group_element(rng)
+        h = _draw_group_element(rng)
+        p = rng.randint(-3, 3)
+
+        try:
+            joint = structure.action(m, g_mul(g, h))
+            stepwise = structure.action(structure.action(m, g), h)
+            if not _points_close(joint, stepwise, tol):
+                record("action-composition", "m.(g*h) != (m.g).h", m=m, g=g, h=h)
+        except TeichkitError as exc:
+            record("action-composition", f"action raised {exc.code}: {exc}", m=m, g=g, h=h)
+
+        try:
+            if not _points_close(structure.action(m, g_identity()), m, tol):
+                record("action-identity", "m.identity != m", m=m)
+        except TeichkitError as exc:
+            record("action-identity", f"action raised {exc.code}: {exc}", m=m)
+
+        # one twist serves both invariance laws; if it raises, both record it
+        try:
+            twisted_g, twisted_m = z_action(p, g, m, structure)
+        except TeichkitError as exc:
+            for law in ("z-action-source-invariance", "z-action-target-invariance"):
+                record(law, f"twist raised {exc.code}: {exc}", m=m, g=g, p=p)
+        else:
+            if not _points_close(source(twisted_g, twisted_m), source(g, m), tol):
+                record("z-action-source-invariance", "source changed under twist", m=m, g=g, p=p)
+            try:
+                if not _points_close(
+                    target(twisted_g, twisted_m, structure), target(g, m, structure), tol
+                ):
+                    record("z-action-target-invariance", "target changed under twist", m=m, g=g, p=p)
+            except TeichkitError as exc:
+                record("z-action-target-invariance", f"twist raised {exc.code}: {exc}", m=m, g=g, p=p)
+
+        try:
+            image = structure.action(m, g)
+            if not is_contracting(image.a):
+                record("action-closure", "action image not contracting", m=m, g=g)
+        except TeichkitError as exc:
+            record("action-closure", f"action raised {exc.code}: {exc}", m=m, g=g)
+
+    laws = tuple(
+        LawResult(name, samples, failures[name], first[name]) for name in _LAW_NAMES
+    )
+    return CheckReport(structure.name, samples, seed, laws)

@@ -4,6 +4,7 @@ import cmath
 import io
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -369,19 +370,53 @@ class TestGroupoidCheck:
         assert by_name["action-composition"].failures == 0
 
     def test_overflowing_difference_is_not_close_not_raised(self):
-        # consecutive action images differ by 2e308 in one entry, which
-        # overflows to inf; that is a changed target, not a raising twist
-        sign = [1.0]
+        # the twist adds 10p to the twist of g, which is drawn with |t| < 3, so
+        # with p != 0 the images of g and of its twist differ by 2e308 in one
+        # entry, which overflows to inf; that is a changed target, not a
+        # raising twist
+        rng = random.Random(0)
+        atlas._draw_atlas_point(rng), atlas._draw_group_element(rng), atlas._draw_group_element(rng)
+        assert rng.randint(-3, 3) != 0  # the sample's twist power
 
         def act(m, g):
-            sign[0] = -sign[0]
-            return AtlasPoint(Matrix2C(0.5, sign[0] * 1e308, 0.0, 0.25), m.t)
+            sign = 1.0 if abs(g.t) < 3 else -1.0
+            return AtlasPoint(Matrix2C(0.5, sign * 1e308, 0.0, 0.25), m.t)
 
-        report = groupoid_check(AtlasStructure("overflowing", act, lambda m: g_identity()), samples=1, seed=0)
+        structure = AtlasStructure("overflowing", act, lambda m: GroupElement(Matrix2C.identity(), 10j))
+        report = groupoid_check(structure, samples=1, seed=0)
         by_name = {law.name: law for law in report.laws}
         target_law = by_name["z-action-target-invariance"]
         assert target_law.failures == 1
         assert target_law.counterexample["detail"] == "target changed under twist"
+
+    @pytest.mark.parametrize("make", [trivial_structure, broken_structure])
+    def test_five_actions_per_sample(self, make):
+        # m.g, m.(g*h), (m.g).h, m.identity and m.(twisted g): m.g is
+        # computed once and read by composition, target invariance and closure
+        inner, calls = make(), []
+
+        def act(m, g):
+            calls.append(g)
+            return inner.action(m, g)
+
+        report = groupoid_check(AtlasStructure(inner.name, act, inner.injection), samples=25, seed=2)
+        assert len(calls) == 5 * 25
+        assert report == groupoid_check(inner, samples=25, seed=2)
+
+    @pytest.mark.parametrize("a, failures", [(Matrix2C.diag(2.0, 0.5), 10), (Matrix2C.diag(0.5, 0.25), 0)])
+    def test_closure_of_an_image_that_is_not_an_atlas_point(self, a, failures):
+        # a duck-typed image is not checked when it is built, so closure
+        # decides whether its matrix is contracting
+        def act(m, g):
+            return SimpleNamespace(a=a, t=m.t)
+
+        report = groupoid_check(AtlasStructure("duck", act, lambda m: g_identity()), samples=10, seed=0)
+        closure = {law.name: law for law in report.laws}["action-closure"]
+        assert closure.failures == failures
+        if failures:
+            assert closure.counterexample["detail"] == "action image not contracting"
+        else:
+            assert closure.counterexample is None
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):

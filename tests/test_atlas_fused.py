@@ -3,7 +3,9 @@
 The library draws and conjugates on plain complex values and builds one
 matrix at the end; oracles.stepwise_* take the same steps with rng.uniform
 and one Matrix2C operation per step.  Both must agree bit for bit, in the
-values, the random stream, every refusal and every report.
+values, the random stream, every refusal and every report.  The checker acts
+once per (m, g) and sample; oracles.reference_groupoid_check acts once per
+law, and both must give the same reports.
 """
 
 import itertools
@@ -16,12 +18,13 @@ from teichkit import (
     AtlasStructure,
     GroupElement,
     Matrix2C,
+    NotContractingError,
     broken_structure,
     groupoid_check,
     trivial_structure,
 )
 from teichkit import atlas, tolerance
-from oracles import stepwise_atlas_point, stepwise_broken_action, stepwise_group_element
+from oracles import reference_groupoid_check, stepwise_atlas_point, stepwise_broken_action, stepwise_group_element
 
 EPS_VALUES = (1e-9, 1e-3, 0.3, 1.0)
 
@@ -135,6 +138,28 @@ class TestReportsMatchReference:
         monkeypatch.setattr(atlas, "_draw_atlas_point", stepwise_atlas_point)
         with tolerance(eps):
             assert fused == [outcome(groupoid_check, structure, 12, seed) for seed in range(40)]
+
+    @pytest.mark.parametrize("eps", EPS_VALUES)
+    @pytest.mark.parametrize("name", ["trivial", "broken"])
+    def test_same_report_or_refusal_as_one_act_per_law(self, name, eps):
+        structure = {"trivial": trivial_structure, "broken": broken_structure}[name]()
+        with tolerance(eps):
+            for seed in range(40):
+                expected = outcome(reference_groupoid_check, structure, 12, seed)
+                assert outcome(groupoid_check, structure, 12, seed) == expected, seed
+
+    @pytest.mark.parametrize("bound", [float("inf"), 1.5])
+    def test_each_law_records_the_refusal_of_its_own_act_first(self, bound):
+        # the refusal names the element acted with, so a law that raised m.g's
+        # refusal before making its own act would record another detail
+        def act(m, g):
+            if abs(g.t) < bound:
+                raise NotContractingError(f"acted with t = {g.t!r}")
+            return m
+
+        structure = AtlasStructure("refusing", act, lambda m: GroupElement(Matrix2C.identity(), 1j))
+        for seed in range(10):
+            assert groupoid_check(structure, 12, seed) == reference_groupoid_check(structure, 12, seed), seed
 
 
 class TestOneMatrixPerValue:

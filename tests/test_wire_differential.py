@@ -6,22 +6,39 @@ fails.  Neither may change a byte: on drawn values the writer must give the
 reference's text or raise the reference's exception, and on drawn and
 mutated JSON every decoder must give an equal value (compared by type and
 repr, so -0.0 and +0.0 differ) or raise the same type with the same message.
+The leaves, leaf spaces, continued fractions and check reports that `fol` and
+`atlas check` print must write as the payloads the CLI once built for them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from enum import IntEnum
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wire_reference as reference
-from teichkit import jsonio
+from teichkit import foliation, jsonio, tolerance
 from teichkit.algebra import IntMatrix2, Matrix2C
-from teichkit.atlas import AtlasPoint, GroupElement
+from teichkit.atlas import (
+    AtlasPoint,
+    AtlasStructure,
+    CheckReport,
+    GroupElement,
+    LawResult,
+    broken_structure,
+    g_identity,
+    groupoid_check,
+    trivial_structure,
+)
+from teichkit.errors import SingularMatrixError
 from teichkit.hopf import Diagonal, Resonant
+from teichkit.surd import QuadraticIrrational
 from teichkit.teich import BasePoint, CurvePoint
 from teichkit.tori import TorusTranslation
 
@@ -107,6 +124,61 @@ def test_writer_edge_cases_match_the_reference():
     ]
     for value in cases:
         assert outcome(jsonio.canonical_dumps, value) == outcome(reference.canonical_dumps, value), value
+
+
+# ------------------------------------------- verb values against their payloads
+
+SLOPES = st.one_of(
+    st.fractions(),
+    st.sampled_from([Fraction(0), Fraction(-7, 3), Fraction(10**400, 3), Fraction(10**5000 + 1, 2)]),
+    st.builds(QuadraticIrrational, st.integers(-50, 50), st.integers(-9, 9).filter(bool),
+              st.integers(2, 200).filter(lambda d: math.isqrt(d) ** 2 != d)),
+)
+SLOPE_VALUES = [
+    (foliation.leaf_descriptor, reference._leaf),
+    (foliation.leaf_space, reference._leaf_space),
+    (foliation.cf_expand, reference._continued_fraction),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOPES)
+def test_slope_values_write_as_their_payloads(alpha):
+    for call, payload in SLOPE_VALUES:
+        value = call(alpha)
+        assert outcome(jsonio.canonical_dumps, value) == outcome(reference.canonical_dumps, payload(value))
+
+
+def test_constructed_slope_values_write_as_their_payloads():
+    values = [
+        (foliation.ClosedLeaf(-3, 7), reference._leaf), (foliation.DenseLine(), reference._leaf),
+        (foliation.Circle(1), reference._leaf_space), (foliation.NonHausdorffQuotient(), reference._leaf_space),
+        (foliation.ContinuedFraction((0,), ()), reference._continued_fraction),
+        (foliation.ContinuedFraction((-2, 1), (3, 4)), reference._continued_fraction),
+    ]
+    for value, payload in values:
+        assert jsonio.canonical_dumps(value) == reference.canonical_dumps(payload(value)), value
+
+
+def _raising(m, g):
+    raise SingularMatrixError("boom")
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3])
+@pytest.mark.parametrize("make", [
+    trivial_structure, broken_structure, lambda: AtlasStructure("raising", _raising, lambda m: g_identity()),
+])
+def test_check_reports_write_as_their_payloads(make, eps):
+    for seed in range(5):
+        with tolerance(eps):
+            report = groupoid_check(make(), 6, seed)
+        assert jsonio.canonical_dumps(report) == reference.canonical_dumps(reference._check_report(report)), seed
+
+
+def test_constructed_check_reports_write_as_their_payloads():
+    law = LawResult("action-identity", 3, 1, {"detail": "x", "p": -2, "m": AtlasPoint(Matrix2C.diag(0.5, 0.25), 1j)})
+    for report in (CheckReport("trivial", 3, 7, ()), CheckReport("x", 3, -1, (law, LawResult("y", 3, 0, None)))):
+        assert jsonio.canonical_dumps(report) == reference.canonical_dumps(reference._check_report(report))
 
 
 # ----------------------------------------------------------------- decoding

@@ -5,7 +5,10 @@ as it was: ``_write`` tests each value with ``isinstance`` and writes
 strings and keys with ``json.dumps``; ``loads_strict`` builds a decoder per
 call through ``json.loads``; every decoder builds its labels before it
 checks.  ``format_float``, ``wire`` and ``SchemaError`` are unchanged, so
-they are the library's own.
+they are the library's own.  ``_leaf``, ``_leaf_space``,
+``_continued_fraction`` and ``_check_report`` are the payloads the CLI built
+for `fol leaf`, `fol leafspace`, `fol cf` and `atlas check` before ``wire``
+spelled those types.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 
-from teichkit import algebra, atlas, hopf, surd, teich
+from teichkit import algebra, atlas, foliation, hopf, surd, teich
 from teichkit.jsonio import SchemaError, format_float, wire
 
 
@@ -186,3 +189,38 @@ def dec_group_element(v, what: str = "group element") -> atlas.GroupElement:
 
 def dec_atlas_point(v, what: str = "atlas point") -> atlas.AtlasPoint:
     return atlas.AtlasPoint(*_a_t(v, what))
+
+
+def _leaf(descriptor) -> dict:
+    if isinstance(descriptor, foliation.ClosedLeaf):
+        return {"kind": "closed", "vertical": descriptor.vertical, "horizontal": descriptor.horizontal}
+    return {"kind": "dense_line"}
+
+
+def _leaf_space(space) -> dict:
+    if isinstance(space, foliation.Circle):
+        return {"kind": "circle", "deck_order": space.deck_order}
+    return {"kind": "non_hausdorff"}
+
+
+def _continued_fraction(cf) -> dict:
+    return {"preperiod": list(cf.preperiod), "period": list(cf.period)}
+
+
+def _check_report(report) -> dict:
+    return {
+        "structure": report.structure,
+        "samples": report.samples,
+        "seed": report.seed,
+        "passed": report.passed,
+        "laws": [
+            {
+                "name": law.name,
+                "passed": law.passed,
+                "checked": law.checked,
+                "failures": law.failures,
+                "counterexample": law.counterexample,
+            }
+            for law in report.laws
+        ],
+    }
