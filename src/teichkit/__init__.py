@@ -4,7 +4,9 @@ torus foliations, and the atlas group of the Teichmueller stack of S3 x S1.
 Only ``errors`` and ``tolerance`` are imported with the package.  Every other
 public name, and every submodule attribute such as ``teichkit.hopf``, is
 resolved on first use by the module ``__getattr__`` (PEP 562), which imports
-the defining module and keeps the name.
+the defining module and keeps the name.  This is the package's one lazy
+loader: ``cli`` and ``jsonio`` read every kernel value as ``teichkit.name``
+too, so a command imports only the modules whose names it reads.
 """
 
 import sys as _sys
@@ -88,26 +90,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
-
-
-class _Deferred:
-    """Stands in for the submodule ``name`` as a global of a teichkit module.
-
-    The first attribute read imports the submodule and rebinds the global to
-    it, so every later read is a plain global lookup.  ``cli`` and ``jsonio``
-    bind their kernel modules this way.
-    """
-
-    def __init__(self, namespace: dict, name: str) -> None:
-        self._namespace = namespace
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        module = _load(self._name)
-        self._namespace[self._name] = module
-        return getattr(module, attr)
-
-
-def _defer(namespace: dict, *names: str) -> tuple:
-    """One :class:`_Deferred` per submodule name, to bind in ``namespace``."""
-    return tuple(_Deferred(namespace, name) for name in names)

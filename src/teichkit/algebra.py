@@ -122,7 +122,7 @@ def ensure_real(x: float, what: str = "value") -> float:
 
 def arg_unit_interval(z: complex) -> float:
     """Argument of z in [0, 2*pi)."""
-    a = cmath.phase(z)
+    a = math.atan2(z.imag, z.real)  # cmath.phase raises OverflowError where atan2 underflows
     return a + _TWO_PI if a < 0.0 else a
 
 

@@ -20,11 +20,11 @@ inside the tolerance block, so that schema and domain errors keep their exit
 codes; library and jsonio functions are looked up when called, never
 captured when the table is built.
 
-A command imports only what it uses.  The kernel modules are bound here as
-stand-ins (teichkit._Deferred) that import the module the first time a row
-reads from it, and then become the module itself; jsonio does the same for
-the value types it decodes.  So ``teichkit alg idet`` imports algebra and no
-other kernel module.
+A command imports only what it uses.  Rows read every library value from
+the package, as ``teichkit.quadratic_roots``; the package's ``__getattr__``
+imports the defining module the first time a name is read and keeps the
+name, and jsonio reads the value types it decodes the same way.  So
+``teichkit alg idet`` imports algebra and no other kernel module.
 
 The parser reads an optional --eps, the group, the verb, then its flags
 (and --eps) in any order, each followed by its values or joined to one
@@ -41,15 +41,12 @@ import os
 import sys
 from typing import Any, Callable, NamedTuple
 
-from . import _defer, jsonio
+import teichkit
+
+from . import jsonio
 from .errors import InvalidInputError, TeichkitError
 from .jsonio import SchemaError, canonical_dumps, loads_strict, wire
 from .tolerance import checked_eps, resolve, tolerance
-
-# bound to the modules themselves on first use; see teichkit._Deferred
-algebra, atlas, foliation, hopf, teich, tori = _defer(
-    globals(), "algebra", "atlas", "foliation", "hopf", "teich", "tori"
-)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,7 +117,7 @@ def _int_matrix(raw, label):
     return jsonio.dec_int_matrix(loads_strict(raw, label), "integer matrix" if label == "matrix" else label)
 
 
-def _slope(raw, label) -> foliation.Slope:
+def _slope(raw, label) -> teichkit.Slope:
     stripped = raw.strip()
     if stripped.startswith("{"):
         return jsonio.dec_surd(loads_strict(stripped, label), label)
@@ -132,14 +129,14 @@ def _slope(raw, label) -> foliation.Slope:
         raise SchemaError(f'{label} must be "num/den" or a {{"p","q","d"}} object: {exc}') from exc
 
 
-def _resonant(values, label) -> hopf.ResonantForm:
+def _resonant(values, label) -> teichkit.ResonantForm:
     if len(values) not in (3, 5):
         raise SchemaError("--resonant takes LAMBDA_RE LAMBDA_IM P with optional C_RE C_IM")
     p = values[2]
     if not p.is_integer():
         raise SchemaError(f"resonance order must be an integer, got {p!r}")
     c = complex(values[3], values[4]) if len(values) == 5 else 1.0 + 0j
-    return hopf.ResonantForm(complex(values[0], values[1]), int(p), c)
+    return teichkit.ResonantForm(complex(values[0], values[1]), int(p), c)
 
 
 KINDS = {
@@ -153,7 +150,7 @@ KINDS = {
     "group_element": Kind(lambda raw, label: jsonio.dec_group_element(loads_strict(raw, label), label)),
     "atlas_point": Kind(lambda raw, label: jsonio.dec_atlas_point(loads_strict(raw, label), label)),
     "slope": Kind(_slope),
-    "structure": Kind(lambda name, label: atlas.structure_by_name(name), 1, str, "{trivial,broken}",
+    "structure": Kind(lambda name, label: teichkit.structure_by_name(name), 1, str, "{trivial,broken}",
                       ("trivial", "broken"), "trivial"),
     "int": Kind(convert=int),
     "float": Kind(convert=float),
@@ -195,22 +192,20 @@ def _equivalence(witness) -> dict:
 
 
 def _compose(tau, z1, z2) -> dict:
-    t1 = tori.TorusTranslation.from_z(tau, z1)
-    t2 = tori.TorusTranslation.from_z(tau, z2)
-    composed = tori.translation_compose(t1, t2)
+    t1 = teichkit.TorusTranslation.from_z(tau, z1)
+    t2 = teichkit.TorusTranslation.from_z(tau, z2)
+    composed = teichkit.translation_compose(t1, t2)
     return {"x": composed.x, "y": composed.y, "z": composed.z}
 
 
 def _classify(matrix, resonant) -> dict:
-    cls = hopf.classify(resonant if matrix is None else matrix)
-    d, t = teich.image(teich.point_of_class(cls)) if matrix is None else (matrix.det, matrix.trace)
+    cls = teichkit.classify(resonant if matrix is None else matrix)
+    d, t = teichkit.image(teichkit.point_of_class(cls)) if matrix is None else (matrix.det, matrix.trace)
     return {**wire(cls), "det_trace": [d, t]}
 
 
 def _fixture_summary(directory: str):
-    from .fixtures import run_fixtures
-
-    summary = run_fixtures(directory)
+    summary = teichkit.run_fixtures(directory)
     return summary, (0 if summary["failed"] == 0 else 1)
 
 
@@ -228,10 +223,10 @@ GROUPS = {
 
 VERBS = (
     Verb("alg", "quadratic-roots", "roots of x^2 - t x + d", (Flag("d", "pair"), Flag("t", "pair")),
-         lambda d, t: {"roots": algebra.quadratic_roots(d, t)}),
+         lambda d, t: {"roots": teichkit.quadratic_roots(d, t)}),
     Verb("alg", "eigen", "eigenvalues and diagonalizability",
          (Flag("matrix", "matrix", help="2x2 complex matrix JSON"),),
-         lambda m: _eigen(*algebra.eigen2(m))),
+         lambda m: _eigen(*teichkit.eigen2(m))),
     Verb("alg", "mul", "complex matrix product", (Flag("a", "matrix"), Flag("b", "matrix")),
          lambda a, b: {"product": a @ b}),
     Verb("alg", "inv", "complex matrix inverse", (Flag("matrix", "matrix"),),
@@ -250,19 +245,19 @@ VERBS = (
          lambda m: {"trace": m.trace()}),
     Verb("tori", "moebius", "apply an SL2(Z) matrix to tau",
          (Flag("matrix", "int_matrix", help="integer matrix JSON"), Flag("tau", "pair")),
-         lambda m, tau: {"tau": tori.moebius(m, tau)}),
+         lambda m, tau: {"tau": teichkit.moebius(m, tau)}),
     Verb("tori", "reduce", "reduce tau into the fundamental domain", (Flag("tau", "pair"),),
-         lambda tau: dict(zip(("reduced", "witness"), tori.reduce_fundamental_domain(tau)))),
+         lambda tau: dict(zip(("reduced", "witness"), teichkit.reduce_fundamental_domain(tau)))),
     Verb("tori", "equiv", "decide biholomorphism of two tori", (Flag("tau1", "pair"), Flag("tau2", "pair")),
-         lambda tau1, tau2: _equivalence(tori.tori_equivalent(tau1, tau2))),
+         lambda tau1, tau2: _equivalence(teichkit.tori_equivalent(tau1, tau2))),
     Verb("tori", "lattice-reduce", "canonical lattice coordinates of z", (Flag("z", "pair"), Flag("tau", "pair")),
-         lambda z, tau: dict(zip(("x", "y"), tori.lattice_reduce(z, tau)))),
+         lambda z, tau: dict(zip(("x", "y"), teichkit.lattice_reduce(z, tau)))),
     Verb("tori", "compose", "compose two translations of one fiber",
          (Flag("tau", "pair"), Flag("z1", "pair"), Flag("z2", "pair")), _compose),
     Verb("hopf", "contracting", "test the contracting condition", (Flag("matrix", "matrix"),),
-         lambda m: {"contracting": hopf.is_contracting(m)}),
+         lambda m: {"contracting": teichkit.is_contracting(m)}),
     Verb("hopf", "resonance", "resonance order of an eigenvalue pair", (Flag("big", "pair"), Flag("small", "pair")),
-         lambda big, small: {"p": hopf.resonance_order(big, small)}),
+         lambda big, small: {"p": teichkit.resonance_order(big, small)}),
     Verb("hopf", "classify", "biholomorphism class of a contraction",
          (Flag("matrix", "matrix", help="2x2 complex matrix JSON", default=None),
           Flag("resonant", "resonant", help="LAMBDA_RE LAMBDA_IM P [C_RE C_IM]", default=None)),
@@ -272,54 +267,54 @@ VERBS = (
     Verb("hopf", "biholo", "biholomorphism test for two contractions",
          (Flag("a", "contraction", help="matrix JSON or resonant-form object"),
           Flag("b", "contraction", help="matrix JSON or resonant-form object")),
-         lambda a, b: {"biholomorphic": hopf.biholomorphic(a, b)}),
+         lambda a, b: {"biholomorphic": teichkit.biholomorphic(a, b)}),
     Verb("teich", "in-domain", "membership in the base domain", (Flag("d", "pair"), Flag("t", "pair")),
-         lambda d, t: {"in_domain": teich.in_base_domain(d, t)}),
+         lambda d, t: {"in_domain": teichkit.in_base_domain(d, t)}),
     Verb("teich", "point", "deformation-space point of a class",
          (Flag("class", "hopf_class", help="class JSON"),),
-         lambda c: {"point": teich.point_of_class(c)}),
+         lambda c: {"point": teichkit.point_of_class(c)}),
     Verb("teich", "class", "class of a deformation-space point", (Flag("point", "teich_point", help="point JSON"),),
-         lambda x: teich.class_of_point(x)),
+         lambda x: teichkit.class_of_point(x)),
     Verb("teich", "image", "(det, trace) image of a point", (Flag("point", "teich_point"),),
-         lambda x: dict(zip("dt", teich.image(x)))),
+         lambda x: dict(zip("dt", teichkit.image(x)))),
     Verb("teich", "twin", "the non-separated partner, if any", (Flag("point", "teich_point"),),
-         lambda x: {"twin": teich.twin(x)}),
+         lambda x: {"twin": teichkit.twin(x)}),
     Verb("teich", "separated", "Hausdorff separation of two points",
          (Flag("x", "teich_point"), Flag("y", "teich_point")),
-         lambda x, y: {"separated": teich.separated(x, y)}),
+         lambda x, y: {"separated": teichkit.separated(x, y)}),
     Verb("teich", "adheres", "does every neighborhood of x contain y",
          (Flag("x", "teich_point"), Flag("y", "teich_point")),
-         lambda x, y: {"adheres": teich.adheres(x, y)}),
+         lambda x, y: {"adheres": teichkit.adheres(x, y)}),
     Verb("teich", "contains", "basic-neighborhood membership",
          (Flag("center", "teich_point"), Flag("radius", "float"), Flag("x", "teich_point")),
-         lambda center, radius, x: {"contains": teich.neighborhood_contains(center, radius, x)}),
+         lambda center, radius, x: {"contains": teichkit.neighborhood_contains(center, radius, x)}),
     Verb("fol", "leaf", "leaf type of a slope", (Flag("alpha", "slope", help='"num/den" or {"p","q","d"} JSON'),),
-         lambda alpha: foliation.leaf_descriptor(alpha)),
+         lambda alpha: teichkit.leaf_descriptor(alpha)),
     Verb("fol", "leafspace", "leaf space of a slope", (Flag("alpha", "slope"),),
-         lambda alpha: foliation.leaf_space(alpha)),
+         lambda alpha: teichkit.leaf_space(alpha)),
     Verb("fol", "cf", "exact continued fraction of a slope", (Flag("alpha", "slope"),),
-         lambda alpha: foliation.cf_expand(alpha)),
+         lambda alpha: teichkit.cf_expand(alpha)),
     Verb("fol", "morita", "Morita equivalence of rotation groupoids", (Flag("alpha", "slope"), Flag("beta", "slope")),
-         lambda alpha, beta: {"equivalent": foliation.morita_equivalent(alpha, beta)}),
+         lambda alpha, beta: {"equivalent": teichkit.morita_equivalent(alpha, beta)}),
     Verb("fol", "orbit", "rotation orbit on the unit circle",
          (Flag("z0", "pair"), Flag("alpha", "slope"), Flag("max-points", "int")),
-         lambda z0, alpha, n: {"points": foliation.rotation_orbit(z0, alpha, n)}),
+         lambda z0, alpha, n: {"points": teichkit.rotation_orbit(z0, alpha, n)}),
     Verb("atlas", "gmul", "twisted product (A,t)*(B,s)",
          (Flag("x", "group_element", help='{"a": matrix, "t": [re, im]} JSON'), Flag("y", "group_element")),
-         lambda x, y: {"result": atlas.g_mul(x, y)}),
+         lambda x, y: {"result": teichkit.g_mul(x, y)}),
     Verb("atlas", "ginv", "twisted-group inverse", (Flag("x", "group_element"),),
-         lambda x: {"result": atlas.g_inverse(x)}),
+         lambda x: {"result": teichkit.g_inverse(x)}),
     Verb("atlas", "zaction", "integer twist (i(m)^p g, m)",
          (Flag("p", "int"), Flag("g", "group_element"), Flag("m", "atlas_point"), Flag("structure", "structure")),
-         lambda p, g, m, structure: dict(zip("gm", atlas.z_action(p, g, m, structure)))),
+         lambda p, g, m, structure: dict(zip("gm", teichkit.z_action(p, g, m, structure)))),
     Verb("atlas", "source", "source of the arrow (g, m)", (Flag("g", "group_element"), Flag("m", "atlas_point")),
-         lambda g, m: {"point": atlas.source(g, m)}),
+         lambda g, m: {"point": teichkit.source(g, m)}),
     Verb("atlas", "target", "target of the arrow (g, m)",
          (Flag("g", "group_element"), Flag("m", "atlas_point"), Flag("structure", "structure")),
-         lambda g, m, structure: {"point": atlas.target(g, m, structure)}),
+         lambda g, m, structure: {"point": teichkit.target(g, m, structure)}),
     Verb("atlas", "check", "randomized groupoid-law verification",
          (Flag("structure", "structure"), Flag("samples", "int", default=1000), Flag("seed", "int", default=0)),
-         lambda structure, samples, seed: atlas.groupoid_check(structure, samples, seed)),
+         lambda structure, samples, seed: teichkit.groupoid_check(structure, samples, seed)),
     Verb("fixtures", "run", "run every fixture in a directory",
          (Flag("dir", "text", help="directory of fixture JSON files"),), _fixture_summary),
 )

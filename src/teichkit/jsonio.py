@@ -16,9 +16,9 @@ Slopes, rationals "num/den" and surds (p + sqrt(d))/q as {"p","q","d"},
 are only decoded.
 
 Importing this module imports no kernel module.  A decoder reads its value
-types from their module (``algebra.Matrix2C``, ``teich.BasePoint`` and so
-on), and that module is imported the first time one of them runs; ``wire``
-reads only class names.
+types from the package (``teichkit.Matrix2C``, ``teichkit.BasePoint`` and so
+on), whose ``__getattr__`` imports the defining module the first time one of
+them runs; ``wire`` reads only class names.
 """
 
 from __future__ import annotations
@@ -27,10 +27,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote  # what json.dumps writes a str with
 
-from . import _defer
-
-# bound to the modules themselves on first use; see teichkit._Deferred
-algebra, atlas, hopf, surd, teich = _defer(globals(), "algebra", "atlas", "hopf", "surd", "teich")
+import teichkit
 
 
 class SchemaError(ValueError):
@@ -201,21 +198,21 @@ def _entries(v, what: str, entry) -> list:
     return [entry(v[i][j], f"{what}[{i}][{j}]") for i in (0, 1) for j in (0, 1)]
 
 
-def dec_matrix2c(v, what: str = "matrix") -> algebra.Matrix2C:
-    return algebra.Matrix2C(*_entries(v, what, dec_complex))
+def dec_matrix2c(v, what: str = "matrix") -> teichkit.Matrix2C:
+    return teichkit.Matrix2C(*_entries(v, what, dec_complex))
 
 
-def dec_int_matrix(v, what: str = "integer matrix") -> algebra.IntMatrix2:
-    return algebra.IntMatrix2(*_entries(v, what, _int))
+def dec_int_matrix(v, what: str = "integer matrix") -> teichkit.IntMatrix2:
+    return teichkit.IntMatrix2(*_entries(v, what, _int))
 
 
-def dec_surd(v, what: str = "quadratic irrational") -> surd.QuadraticIrrational:
+def dec_surd(v, what: str = "quadratic irrational") -> teichkit.QuadraticIrrational:
     if not isinstance(v, dict) or set(v) != {"p", "q", "d"}:
         raise SchemaError(f'{what} must be an object with keys "p", "q", "d", got {v!r}')
-    return surd.QuadraticIrrational(_int(v["p"], f"{what} p"), _int(v["q"], f"{what} q"), _int(v["d"], f"{what} d"))
+    return teichkit.QuadraticIrrational(_int(v["p"], f"{what} p"), _int(v["q"], f"{what} q"), _int(v["d"], f"{what} d"))
 
 
-def dec_teich_point(v, what: str = "point") -> teich.TeichPoint:
+def dec_teich_point(v, what: str = "point") -> teichkit.TeichPoint:
     if not isinstance(v, dict) or "stratum" not in v:
         raise SchemaError(f'{what} must be an object with a "stratum" key, got {v!r}')
     stratum = v["stratum"]
@@ -225,22 +222,22 @@ def dec_teich_point(v, what: str = "point") -> teich.TeichPoint:
     if stratum == "base":
         if len(params) != 2:
             raise SchemaError(f"{what}: base stratum needs [det, trace] params")
-        return teich.BasePoint(dec_complex(params[0], f"{what} det"), dec_complex(params[1], f"{what} trace"))
+        return teichkit.BasePoint(dec_complex(params[0], f"{what} det"), dec_complex(params[1], f"{what} trace"))
     if stratum == "c":
         if len(params) != 1:
             raise SchemaError(f"{what}: stratum c needs a single [lambda] param")
-        return teich.CurvePoint(1, dec_complex(params[0], f"{what} lambda"))
+        return teichkit.CurvePoint(1, dec_complex(params[0], f"{what} lambda"))
     if stratum == "cp":
         if len(params) != 1:
             raise SchemaError(f"{what}: stratum cp needs a single [lambda] param")
         p = _int(v.get("p"), f"{what} p")
         if p < 2:
             raise SchemaError(f"{what}: stratum cp needs p >= 2, got {p}")
-        return teich.CurvePoint(p, dec_complex(params[0], f"{what} lambda"))
+        return teichkit.CurvePoint(p, dec_complex(params[0], f"{what} lambda"))
     raise SchemaError(f"{what}: unknown stratum {stratum!r}")
 
 
-def dec_hopf_class(v, what: str = "class") -> hopf.HopfClass:
+def dec_hopf_class(v, what: str = "class") -> teichkit.HopfClass:
     # extra keys (e.g. the det_trace echoed by `hopf classify`) are ignored
     # so classification output can be piped straight back in
     if not isinstance(v, dict) or "class" not in v:
@@ -249,22 +246,24 @@ def dec_hopf_class(v, what: str = "class") -> hopf.HopfClass:
     if kind == "diagonal":
         if "lambda1" not in v or "lambda2" not in v:
             raise SchemaError(f'{what}: diagonal class needs "lambda1" and "lambda2"')
-        return hopf.Diagonal(dec_complex(v["lambda1"], f"{what} lambda1"), dec_complex(v["lambda2"], f"{what} lambda2"))
+        return teichkit.Diagonal(
+            dec_complex(v["lambda1"], f"{what} lambda1"), dec_complex(v["lambda2"], f"{what} lambda2")
+        )
     if kind == "resonant":
         if "lambda" not in v or "p" not in v:
             raise SchemaError(f'{what}: resonant class needs "lambda" and "p"')
-        return hopf.Resonant(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"))
+        return teichkit.Resonant(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"))
     raise SchemaError(f"{what}: unknown class {kind!r}")
 
 
-def dec_contraction(v, what: str = "contraction") -> algebra.Matrix2C | hopf.ResonantForm:
+def dec_contraction(v, what: str = "contraction") -> teichkit.Matrix2C | teichkit.ResonantForm:
     if isinstance(v, list):
         return dec_matrix2c(v, what)
     if isinstance(v, dict):
         if "lambda" not in v or "p" not in v:
             raise SchemaError(f'{what} object needs "lambda" and "p" (and optional "c")')
         c = dec_complex(v["c"], f"{what} c") if "c" in v else 1.0 + 0j
-        return hopf.ResonantForm(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"), c)
+        return teichkit.ResonantForm(dec_complex(v["lambda"], f"{what} lambda"), _int(v["p"], f"{what} p"), c)
     raise SchemaError(f"{what} must be a matrix array or a resonant-form object, got {v!r}")
 
 
@@ -275,9 +274,9 @@ def _a_t(v, what: str) -> tuple:
     return dec_matrix2c(v["a"], f"{what} a"), dec_complex(v["t"], f"{what} t")
 
 
-def dec_group_element(v, what: str = "group element") -> atlas.GroupElement:
-    return atlas.GroupElement(*_a_t(v, what))
+def dec_group_element(v, what: str = "group element") -> teichkit.GroupElement:
+    return teichkit.GroupElement(*_a_t(v, what))
 
 
-def dec_atlas_point(v, what: str = "atlas point") -> atlas.AtlasPoint:
-    return atlas.AtlasPoint(*_a_t(v, what))
+def dec_atlas_point(v, what: str = "atlas point") -> teichkit.AtlasPoint:
+    return teichkit.AtlasPoint(*_a_t(v, what))

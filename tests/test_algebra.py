@@ -38,6 +38,7 @@ class TestArgAndOrdering:
         assert arg_unit_interval(1) == 0.0
         assert arg_unit_interval(1j) == approx_c(math.pi / 2)
         assert arg_unit_interval(-1j) == approx_c(3 * math.pi / 2)
+        assert 0.0 <= arg_unit_interval(2 + 5e-324j) < 2 * math.pi  # atan2 underflows
 
     def test_descending_modulus(self):
         assert order_by_modulus(0.25, 0.5) == (0.5, 0.25)
@@ -397,6 +398,8 @@ class TestQuadraticRootsAtExtremeScales:
             (1e-200, 1e-100j),
             (1e-30, 1e-160),
             (3e-250, 1e-100 - 2e-100j),
+            # tied moduli; the argument of the first root underflows in atan2
+            (-6.274500688187011e304 - 1.2287973445484811e-76j, 436.5826489614924 - 1.218763825625477e-264j),
         ],
     )
     def test_vieta_relations_hold(self, d, t):

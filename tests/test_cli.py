@@ -185,6 +185,12 @@ class TestDispatchExamples:
         assert code == 0
         assert out == '{"class":"resonant","lambda":[0.5,0],"p":1,"det_trace":[[0.25,0],[1,0]]}\n'
 
+    def test_quadratic_roots_bytes_where_atan2_underflows(self):
+        argv = ["alg", "quadratic-roots", "--d", "-6.274500688187011e+304", "-1.2287973445484811e-76",
+                "--t", "436.5826489614924", "-1.218763825625477e-264"]
+        roots = "[[2.50489534476e+152,2.45279178454e-229],[-2.50489534476e+152,-4.90558356907e-229]]"
+        assert run(argv) == (0, f'{{"roots":{roots}}}\n', "")
+
     def test_reduce_bytes(self):
         code, out, _ = run(["tori", "reduce", "--tau", "5", "1"])
         assert code == 0
@@ -449,6 +455,53 @@ class TestParserReuse:
             random.Random(seed).shuffle(order)
             for i in order:
                 assert [run(argv) for argv in units[i]] == first[i], units[i]
+
+
+class TestReplacedFunctionIsCalled:
+    """A library function replaced at every binding in the teichkit modules,
+    the package's included, as perfbench's tracer patches them, is what the
+    next dispatch calls; once restored, the original is called again."""
+
+    @pytest.mark.parametrize(
+        "argv, module, name",
+        [
+            (["alg", "quadratic-roots", "--d", "0.125", "0", "--t", "0.75", "0"], "algebra", "quadratic_roots"),
+            (["tori", "reduce", "--tau", "0.1", "0.1"], "tori", "reduce_fundamental_domain"),
+            (["hopf", "classify", "--matrix", "[[[0.5,0],[0,0]],[[0,0],[0.25,0]]]"], "hopf", "classify"),
+            (["teich", "twin", "--point", '{"stratum":"c","params":[[0.5,0]]}'], "teich", "twin"),
+            (["fol", "cf", "--alpha", "2/5"], "foliation", "cf_expand"),
+            (TestSuccessPathBuildsOnlyOutput.GMUL, "atlas", "g_mul"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_next_dispatch_calls_the_replacement(self, argv, module, name):
+        warm = run(argv)  # loads and keeps every name the verb reads
+        assert warm[0] == 0, warm
+        original = getattr(sys.modules[f"teichkit.{module}"], name)
+        calls = []
+
+        def replacement(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        bindings = [
+            (namespace, attr)
+            for modname, namespace in list(sys.modules.items())
+            if modname == "teichkit" or modname.startswith("teichkit.")
+            for attr, value in list(vars(namespace).items())
+            if value is original
+        ]
+        try:
+            for namespace, attr in bindings:
+                setattr(namespace, attr, replacement)
+            assert run(argv) == warm
+        finally:
+            for namespace, attr in bindings:
+                setattr(namespace, attr, original)
+        assert calls
+        called = len(calls)
+        assert run(argv) == warm
+        assert len(calls) == called
 
 
 class TestTableParser:

@@ -117,7 +117,6 @@ for thread in threads:
     thread.start()
 for thread in threads:
     thread.join(60)
-# dispatch's redirect_stdout is process-wide, so concurrent calls can leave sys.stdout redirected
 print(json.dumps([sum(thread.is_alive() for thread in threads), sorted(set(results))]), file=sys.__stdout__)
 """
 FIRST_VERBS = [
