@@ -175,11 +175,8 @@ def _scaled_big_root(d: complex, t: complex) -> complex:
     if ts.real * u.real + ts.imag * u.imag < 0.0:
         u = -u
     big = s * (0.5 * (ts + u))
-    try:
-        if math.isfinite(abs(big)):
-            return big
-    except OverflowError:  # finite parts whose modulus is past float range
-        pass
+    if math.isfinite(math.hypot(big.real, big.imag)):  # hypot gives inf where abs raises
+        return big
     raise InvalidInputError(f"a root of x**2 - t*x + d is too large to represent, d={d!r}, t={t!r}")
 
 

@@ -18,6 +18,8 @@ base twin, the one-sided adherence that makes the space non-Hausdorff.
 
 from __future__ import annotations
 
+import cmath
+
 from .algebra import Value, _roots, ensure_finite, ensure_real, order_by_modulus, quadratic_roots
 from .errors import InvalidPointError, SamePointError
 from .hopf import Diagonal, HopfClass, Resonant, resonance_order
@@ -54,7 +56,8 @@ class CurvePoint(Value):
     """A point of the doubled curve of resonance order >= 1.
 
     Order 1 is the Jordan stratum over the discriminant locus; order p >= 2
-    lies over the image of lam -> (lam**(p+1), lam + lam**p).
+    lies over the image of lam -> (lam**(p+1), lam + lam**p).  An image past
+    float range lies outside the base domain too.
     """
 
     order: int
@@ -64,8 +67,11 @@ class CurvePoint(Value):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
             raise InvalidPointError(f"order must be a positive integer, got {order!r}")
         lam = ensure_finite(lam, "lam")
-        det, trace = _curve_image(order, lam)
-        if not in_base_domain(det, trace):
+        try:
+            det, trace = _curve_image(order, lam)
+        except OverflowError:  # a power past float range
+            det = trace = complex("inf")
+        if not (cmath.isfinite(det) and cmath.isfinite(trace) and in_base_domain(det, trace)):
             raise InvalidPointError(f"curve point of order {order} at {lam!r} images outside the base domain")
         self.__dict__.update(order=order, lam=lam)
 

@@ -134,7 +134,7 @@ class TorusTranslation(Value):
         return self.x + self.y * self.tau
 
     def inverse(self) -> "TorusTranslation":
-        return TorusTranslation(self.tau, _frac(-self.x), _frac(-self.y))
+        return TorusTranslation(self.tau, -self.x, -self.y)
 
 
 def zero_translation(tau: complex) -> TorusTranslation:
@@ -147,4 +147,4 @@ def translation_compose(t1: TorusTranslation, t2: TorusTranslation) -> TorusTran
         raise MismatchedFiberError(
             f"translations live on different fibers: {t1.tau!r} vs {t2.tau!r}"
         )
-    return TorusTranslation(t1.tau, _frac(t1.x + t2.x), _frac(t1.y + t2.y))
+    return TorusTranslation(t1.tau, t1.x + t2.x, t1.y + t2.y)

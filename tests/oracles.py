@@ -33,6 +33,7 @@ from teichkit.atlas import (
 )
 from teichkit.errors import TeichkitError
 from teichkit.hopf import is_contracting
+from teichkit.tolerance import DEFAULT_EPS, tolerance
 
 
 def brute_resonance_order(big: complex, small: complex, eps: float, max_order: int = 64) -> int | None:
@@ -303,24 +304,28 @@ def exact_matrix_power(a: Matrix2C, p: int) -> tuple[complex, complex, complex, 
 
 
 def stepwise_group_element(rng: random.Random) -> GroupElement:
-    """atlas._draw_group_element as rng.uniform and one Matrix2C per draw."""
-    while True:
-        a = Matrix2C(*(random_complex(rng, 1.5) for _ in range(4)))
-        if abs(a.det) >= 0.2:
-            return GroupElement(a, random_complex(rng, 2.0))
+    """atlas._draw_group_element as rng.uniform and one Matrix2C per draw.
+    The library's draw reads no eps, so this one checks at the default."""
+    with tolerance(DEFAULT_EPS):
+        while True:
+            a = Matrix2C(*(random_complex(rng, 1.5) for _ in range(4)))
+            if abs(a.det) >= 0.2:
+                return GroupElement(a, random_complex(rng, 2.0))
 
 
 def stepwise_atlas_point(rng: random.Random) -> AtlasPoint:
     """atlas._draw_atlas_point as rng.uniform and one Matrix2C operation
-    per step: the basis, the diagonal, the inverse and two products."""
-    lam1 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
-    lam2 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
-    while True:
-        basis = Matrix2C(*(random_complex(rng, 1.0) for _ in range(4)))
-        if abs(basis.det) >= 0.4:
-            break
-    a = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
-    return AtlasPoint(a, random_complex(rng, 2.0))
+    per step: the basis, the diagonal, the inverse and two products.  The
+    library's draw reads no eps, so this one checks at the default."""
+    with tolerance(DEFAULT_EPS):
+        lam1 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
+        lam2 = cmath.rect(rng.uniform(0.25, 0.8), rng.uniform(0.0, 2.0 * cmath.pi))
+        while True:
+            basis = Matrix2C(*(random_complex(rng, 1.0) for _ in range(4)))
+            if abs(basis.det) >= 0.4:
+                break
+        a = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
+        return AtlasPoint(a, random_complex(rng, 2.0))
 
 
 def stepwise_broken_action(m: AtlasPoint, g: GroupElement) -> AtlasPoint:
@@ -395,7 +400,7 @@ def random_dyadic_jordan(rng: random.Random) -> Matrix2C:
     return u @ (jordan @ u_inv)
 
 
-def reference_groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0, tol: float = 1e-6) -> CheckReport:
+def reference_groupoid_check(structure: AtlasStructure, samples: int, seed: int = 0) -> CheckReport:
     """groupoid_check's sample loop as it was before m.g was computed once:
     three acts with (m, g) per sample, source and target compared under the
     twist, and closure decided by is_contracting(image.a) for every image.
@@ -418,13 +423,13 @@ def reference_groupoid_check(structure: AtlasStructure, samples: int, seed: int 
         try:
             joint = structure.action(m, g_mul(g, h))
             stepwise = structure.action(structure.action(m, g), h)
-            if not _points_close(joint, stepwise, tol):
+            if not _points_close(joint, stepwise):
                 record("action-composition", "m.(g*h) != (m.g).h", m=m, g=g, h=h)
         except TeichkitError as exc:
             record("action-composition", f"action raised {exc.code}: {exc}", m=m, g=g, h=h)
 
         try:
-            if not _points_close(structure.action(m, g_identity()), m, tol):
+            if not _points_close(structure.action(m, g_identity()), m):
                 record("action-identity", "m.identity != m", m=m)
         except TeichkitError as exc:
             record("action-identity", f"action raised {exc.code}: {exc}", m=m)
@@ -436,12 +441,10 @@ def reference_groupoid_check(structure: AtlasStructure, samples: int, seed: int 
             for law in ("z-action-source-invariance", "z-action-target-invariance"):
                 record(law, f"twist raised {exc.code}: {exc}", m=m, g=g, p=p)
         else:
-            if not _points_close(source(twisted_g, twisted_m), source(g, m), tol):
+            if not _points_close(source(twisted_g, twisted_m), source(g, m)):
                 record("z-action-source-invariance", "source changed under twist", m=m, g=g, p=p)
             try:
-                if not _points_close(
-                    target(twisted_g, twisted_m, structure), target(g, m, structure), tol
-                ):
+                if not _points_close(target(twisted_g, twisted_m, structure), target(g, m, structure)):
                     record("z-action-target-invariance", "target changed under twist", m=m, g=g, p=p)
             except TeichkitError as exc:
                 record("z-action-target-invariance", f"twist raised {exc.code}: {exc}", m=m, g=g, p=p)

@@ -236,9 +236,8 @@ class TestEnsureReal:
             lambda: teichkit.TorusTranslation(1j, "0.25", "0"),
             lambda: teichkit.TorusTranslation(1j, 0.25, True),
             lambda: teichkit.neighborhood_contains(teichkit.BasePoint(0.15, 0.8), "0.5", teichkit.CurvePoint(1, 0.5)),
-            lambda: teichkit.groupoid_check(teichkit.trivial_structure(), 10, tol="1e-6"),
         ],
-        ids=["translation-str", "translation-bool", "radius-str", "tol-str"],
+        ids=["translation-str", "translation-bool", "radius-str"],
     )
     def test_real_parameters_refuse_numeric_strings(self, call):
         with pytest.raises(InvalidInputError, match="must be a finite real number: got (str|bool)$"):

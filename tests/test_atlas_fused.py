@@ -8,6 +8,7 @@ once per (m, g) and sample; oracles.reference_groupoid_check acts once per
 law, and both must give the same reports.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -16,6 +17,7 @@ import pytest
 from teichkit import (
     AtlasPoint,
     AtlasStructure,
+    CheckReport,
     GroupElement,
     Matrix2C,
     NotContractingError,
@@ -160,6 +162,34 @@ class TestReportsMatchReference:
         structure = AtlasStructure("refusing", act, lambda m: GroupElement(Matrix2C.identity(), 1j))
         for seed in range(10):
             assert groupoid_check(structure, 12, seed) == reference_groupoid_check(structure, 12, seed), seed
+
+
+class TestWideEps:
+    # sha256 of the reprs of the reports for seeds 0-39 with 12 samples, one
+    # per line; at 0.1 the trivial structure's equal those at the default eps
+    REPORTS = {
+        (0.1, "trivial"): "2d9675923ce2aa1b1901bed030375ba263a357362ac8bea872568970bfa173a6",
+        (0.1, "broken"): "e7a931171c0eebb86074f4c6112498a9501876a1e3b1a7fc67ca69c692f1dc72",
+        (0.3, "trivial"): "95fab3f12979b36caa89f167ec72e3c40168f6105aa6e67411358fab33aea6d9",
+        (0.3, "broken"): "852e1146f5f9b795bec9906c9ad76dc60687bffdc0477bae812c158f76419fc3",
+        (1.0, "trivial"): "4fd7830c54d9c4d7f0cd83ba4066cf305b6d6ff8e14c8d533680d43c8a11f9da",
+        (1.0, "broken"): "e30ab8030328bf98b16a05b87200977c9f07b405d371f8e66603f4287e65a240",
+    }
+
+    @pytest.mark.parametrize("eps, name", list(REPORTS))
+    def test_every_seed_gives_the_pinned_report(self, eps, name):
+        # no eps refuses a draw, so a wide one fails laws instead of the check
+        structure = {"trivial": trivial_structure, "broken": broken_structure}[name]()
+        with tolerance(eps):
+            reports = [groupoid_check(structure, 12, seed) for seed in range(40)]
+        assert all(type(report) is CheckReport for report in reports)
+        assert hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest() == self.REPORTS[eps, name]
+
+    def test_drawn_element_carries_the_det_it_tested(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            g = atlas._draw_group_element(rng)
+            assert g._det == GroupElement(g.a, g.t)._det
 
 
 class TestOneMatrixPerValue:

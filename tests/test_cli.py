@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -134,6 +135,33 @@ class TestDecoding:
             dec_teich_point({"stratum": "cp", "p": 1, "params": [[0.5, 0]]})
         with pytest.raises(SchemaError):
             dec_teich_point({"stratum": "??", "params": []})
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ({"stratum": "base", "params": [[0.15, 0]]}, "base stratum needs [det, trace] params"),
+            ({"stratum": "c", "params": [[0.5, 0], [0.5, 0]]}, "stratum c needs a single [lambda] param"),
+            ({"stratum": "cp", "p": 2, "params": []}, "stratum cp needs a single [lambda] param"),
+        ],
+    )
+    def test_teich_point_params_arity(self, point, message):
+        from teichkit.jsonio import dec_teich_point
+
+        with pytest.raises(SchemaError, match=re.escape(f"point: {message}")):
+            dec_teich_point(point)
+
+    @pytest.mark.parametrize(
+        "cls, message",
+        [
+            ({"class": "diagonal", "lambda1": [0.5, 0]}, 'diagonal class needs "lambda1" and "lambda2"'),
+            ({"class": "jordan", "lambda": [0.5, 0]}, "unknown class 'jordan'"),
+        ],
+    )
+    def test_hopf_class_shape(self, cls, message):
+        from teichkit.jsonio import dec_hopf_class
+
+        with pytest.raises(SchemaError, match=re.escape(f"class: {message}")):
+            dec_hopf_class(cls)
 
     def test_hopf_class_roundtrips_with_extra_keys(self):
         from teichkit.jsonio import dec_hopf_class
@@ -663,6 +691,13 @@ class TestFixtureRunner:
         write_fixture(tmp_path, "list.json", {"command": "not-a-list"})
         summary = run_fixtures(tmp_path)
         assert summary["total"] == 2 and summary["failed"] == 2
+
+    @pytest.mark.parametrize("part", [True, None, ["alg"], {"verb": "idet"}])
+    def test_command_entries_must_be_strings_or_numbers(self, tmp_path, part):
+        write_fixture(tmp_path, "odd.json", {"command": ["alg", part], "expected": {}})
+        summary = run_fixtures(tmp_path)
+        assert summary["failed"] == 1
+        assert summary["failures"][0]["reason"] == "command entries must be strings or numbers"
 
     def test_missing_expected_document(self, tmp_path):
         write_fixture(tmp_path, "holey.json", {"command": ["alg", "idet", "--matrix", "[[1,0],[0,1]]"]})

@@ -193,6 +193,9 @@ class TestContinuedFractions:
             ContinuedFraction((1, 0), ())
         with pytest.raises(InvalidInputError):
             ContinuedFraction((1,), (0,))
+        # with no preperiod, the first period quotient is checked as a period one
+        with pytest.raises(InvalidInputError, match="^period quotients must be >= 1, got 0$"):
+            ContinuedFraction((), (0,))
         with pytest.raises(InvalidInputError):
             ContinuedFraction((1.5,), ())
 

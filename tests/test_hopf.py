@@ -224,6 +224,11 @@ class TestHopfClassTypes:
         with pytest.raises(InvalidInputError):
             Diagonal(0.5, 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5j])
+    def test_resonant_requires_a_modulus_inside_the_unit_band(self, lam):
+        with pytest.raises(InvalidInputError, match=r"^lam modulus must lie strictly inside \(0, 1\)$"):
+            Resonant(lam, 2)
+
     def test_resonant_requires_positive_order(self):
         with pytest.raises(InvalidInputError):
             Resonant(0.5, 0)

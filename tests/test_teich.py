@@ -1,6 +1,8 @@
 """Deformation-space points, twins, and the non-Hausdorff neighborhood model."""
 
 import cmath
+import io
+import json
 import math
 import random
 
@@ -98,6 +100,31 @@ class TestBaseDomain:
         with pytest.raises(InvalidPointError):
             CurvePoint(100, 0.5)  # lam**101 collapses below tolerance
 
+    @pytest.mark.parametrize(
+        "order, lam",
+        [
+            (100000, 2),  # lam**order past float range
+            (2, 1e200),  # lam**3 past float range
+            (10**400, 0.5),  # an exponent past float range
+            (1, 1e308 + 1e308j),  # lam**2 not finite
+        ],
+    )
+    def test_curve_point_whose_image_overflows(self, order, lam):
+        with pytest.raises(InvalidPointError, match="images outside the base domain$"):
+            CurvePoint(order, lam)
+
+    @pytest.mark.parametrize("p", [3, 100000])
+    def test_twin_of_a_curve_point_whose_image_overflows(self, p):
+        from teichkit.cli import dispatch
+
+        point = f'{{"stratum":"cp","p":{p},"params":[[2,0]]}}'
+        out, err = io.StringIO(), io.StringIO()
+        assert dispatch(["teich", "twin", "--point", point], out, err) == 1
+        assert json.loads(err.getvalue()) == {
+            "error": "invalid_point",
+            "message": f"curve point of order {p} at (2+0j) images outside the base domain",
+        }
+
 
 class TestImageAndClasses:
     def test_images(self):
@@ -109,6 +136,12 @@ class TestImageAndClasses:
         assert point_of_class(Diagonal(0.5, 0.5)) == BasePoint(0.25, 1.0)
         assert point_of_class(Resonant(0.5, 1)) == CurvePoint(1, 0.5)
         assert point_of_class(Resonant(0.5, 2)) == CurvePoint(2, 0.5)
+
+    def test_unsupported_class_or_point(self):
+        with pytest.raises(InvalidPointError, match="^unsupported class "):
+            point_of_class((0.5, 0.25))
+        with pytest.raises(InvalidPointError, match="^unsupported point "):
+            class_of_point((0.25, 1.0))
 
     def test_class_of_point(self):
         got = class_of_point(BasePoint(0.125, 0.75))
