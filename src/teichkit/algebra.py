@@ -226,32 +226,18 @@ class Matrix2C(Value):
         )
 
     def inverse(self) -> "Matrix2C":
-        return Matrix2C(*_inverse_entries(self.a, self.b, self.c, self.d))
+        """The inverse, the one eps-tested inverse of a complex matrix:
+        SingularMatrixError when the det ad - bc is zero within the tolerance
+        in force, an absolute test.  A group element's inverse divides by the
+        det it carries instead (atlas.g_inverse)."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        det = a * d - b * c
+        if within(det):
+            raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
+        return Matrix2C(d / det, -b / det, -c / det, a / det)
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
-
-    def close_to(self, other: "Matrix2C", tol: float) -> bool:
-        return (
-            abs(self.a - other.a) <= tol
-            and abs(self.b - other.b) <= tol
-            and abs(self.c - other.c) <= tol
-            and abs(self.d - other.d) <= tol
-        )
-
-
-def _inverse_entries(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex, complex, complex]:
-    """The entries of the inverse of [[a, b], [c, d]], for complex entries.
-
-    The one singularity test of complex matrices: SingularMatrixError when
-    the det ad - bc is zero within the tolerance in force, an absolute test.
-    Matrix2C.inverse builds its matrix from these entries; a caller that
-    multiplies the inverse further takes them as plain values.
-    """
-    det = a * d - b * c
-    if within(det):
-        raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
-    return d / det, -b / det, -c / det, a / det
 
 
 def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:

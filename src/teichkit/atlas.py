@@ -27,7 +27,7 @@ import cmath
 import random
 from typing import Callable
 
-from .algebra import _TWO_PI, Matrix2C, Value, _ensure_int, _inverse_entries, ensure_finite
+from .algebra import _TWO_PI, Matrix2C, Value, _ensure_int, ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotContractingError, SingularMatrixError, TeichkitError
 from .hopf import is_contracting
 from .tolerance import within
@@ -157,24 +157,20 @@ def broken_structure() -> AtlasStructure:
     contracting property, so the action laws hold; but i(m) = (shear * Am, 0)
     does not commute with Am, so target(i(m)^p * g, m) differs from
     target(g, m) for generic inputs and the integer-twist invariance fails.
-    The action computes g.a.inverse() @ (m.a @ g.a) on plain complex values,
-    the same float operations in the same order, and builds one matrix.
+    The action inverts Ag as g_inverse does, dividing its adjugate by the
+    det g carries with no eps test, and computes g_inverse(g).a @ (m.a @ g.a)
+    on plain complex values, the same float operations in the same order, in
+    one matrix; an entry past float range is that matrix's InvalidInputError.
     """
 
     def act(m: AtlasPoint, g: GroupElement) -> AtlasPoint:
-        x, y = g.a, m.a
+        x, y, det = g.a, m.a, g._det
         xa, xb, xc, xd = x.a, x.b, x.c, x.d
-        ia, ib, ic, id_ = _inverse_entries(xa, xb, xc, xd)
+        ia, ib, ic, id_ = xd / det, -xb / det, -xc / det, xa / det
         ya, yb, yc, yd = y.a, y.b, y.c, y.d
         pa, pb = ya * xa + yb * xc, ya * xb + yb * xd
         pc, pd = yc * xa + yd * xc, yc * xb + yd * xd
-        try:
-            a = Matrix2C(ia * pa + ib * pc, ia * pb + ib * pd, ic * pa + id_ * pc, ic * pb + id_ * pd)
-        except InvalidInputError:
-            # An entry is not finite, so neither is some matrix of the stepwise
-            # product: refuse with the error of the first such matrix.
-            x.inverse() @ (y @ x)
-            raise
+        a = Matrix2C(ia * pa + ib * pc, ia * pb + ib * pd, ic * pa + id_ * pc, ic * pb + id_ * pd)
         return AtlasPoint(a, m.t)
 
     def inj(m: AtlasPoint) -> GroupElement:

@@ -131,7 +131,11 @@ def classify(data: ContractionInput) -> HopfClass:
         if not inside_unit(abs(data.lam)):
             raise NotContractingError("resonant form requires 0 < |lam| < 1")
         if within(data.c):  # |lam**p| may fall below the band, so Diagonal decides
-            big, small = order_by_modulus(data.lam, data.lam**data.p)
+            try:
+                small = data.lam**data.p
+            except OverflowError:  # p past float range, where |lam| < 1 makes lam**p 0
+                small = 0j
+            big, small = order_by_modulus(data.lam, small)
             return Diagonal(big, small)
         return Resonant._of(data.lam, data.p)
     raise InvalidInputError(f"unsupported contraction input {data!r}")

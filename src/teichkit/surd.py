@@ -81,15 +81,14 @@ def _key(p: int, q: int, d: int) -> tuple[int, int, int, int]:
     return (a // g, b // g, c // g, 1 if q > 0 else -1)
 
 
-def _first_reduced(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, int]], int, int, int]:
-    """(quotients, states, p, q, s): x's preperiod, first reduced state and isqrt(d).
+def _first_reduced(x: QuadraticIrrational) -> tuple[list[int], int, int, int]:
+    """(quotients, p, q, s): x's preperiod, first reduced state and isqrt(d).
     p' = a*q - p keeps d - p'**2 = d - p**2 mod q, so each q' = (d - p'**2) / q is exact."""
     p, q, d, s = x.p, x.q, x.d, math.isqrt(x.d)
-    quotients, states = [], []
+    quotients = []
     for _ in range(_MAX_CF_STEPS + 1):
         if 0 <= s - p < q <= s + p:
-            return quotients, states, p, q, s
-        states.append((p, q))
+            return quotients, p, q, s
         a = (p + s + (q < 0)) // q  # the floor, as in __floor__
         p = a * q - p
         q = (d - p * p) // q
@@ -98,9 +97,10 @@ def _first_reduced(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, i
 
 
 def _expansion_states(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, int]], int]:
-    """(quotients, states, cycle_start) of x to the end of its first period; q > 0 in the cycle."""
-    quotients, states, p, q, s = _first_reduced(x)
-    d, k, p0, q0 = x.d, len(quotients), p, q
+    """(quotients, cycle states, cycle_start) of x to the end of its first
+    period: the states (p, q) of the period only, each with q > 0."""
+    quotients, p, q, s = _first_reduced(x)
+    d, k, p0, q0, states = x.d, len(quotients), p, q, []
     for _ in range(_MAX_CF_STEPS + 1 - k):
         states.append((p, q))
         a = (p + s) // q
@@ -128,8 +128,8 @@ def periodic_state_keys(x: QuadraticIrrational) -> frozenset[tuple[int, int, int
     shared complete quotient forces identical tails from there on).  A state
     keeps the invariant q | d - p**2, so its key needs no rescale.
     """
-    _, states, k = _expansion_states(x)
-    return frozenset(_key(p, q, x.d) for p, q in states[k:])
+    _, states, _ = _expansion_states(x)
+    return frozenset(_key(p, q, x.d) for p, q in states)
 
 
 def _equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
@@ -142,9 +142,9 @@ def _equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
     if b * b - 4 * a * c != f * f - 4 * e * h:
         return False
     gx, gy = abs(x.q) // a, abs(y.q) // e
-    _, _, p, q, _ = _first_reduced(y)
-    _, states, k = _expansion_states(x)
-    return (p * gx, q * gx) in [(u * gy, v * gy) for u, v in states[k:]]
+    _, p, q, _ = _first_reduced(y)
+    _, states, _ = _expansion_states(x)
+    return (p * gx, q * gx) in [(u * gy, v * gy) for u, v in states]
 
 
 def moebius_surd(m: IntMatrix2, x: QuadraticIrrational) -> QuadraticIrrational:

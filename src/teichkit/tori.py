@@ -43,7 +43,10 @@ def moebius(m: IntMatrix2, tau: complex) -> complex:
     if m.det() != 1:
         raise NotUnimodularError(f"moebius action requires det 1, got {m.det()}")
     tau = require_upper_half(tau)
-    return (m.a * tau + m.b) / (m.c * tau + m.d)
+    try:
+        return (m.a * tau + m.b) / (m.c * tau + m.d)
+    except OverflowError:  # an exact entry that float() cannot hold
+        raise InvalidInputError("m has an entry past float range") from None
 
 
 def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:

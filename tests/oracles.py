@@ -26,6 +26,7 @@ from teichkit.atlas import (
     _draw_group_element,
     _points_close,
     g_identity,
+    g_inverse,
     g_mul,
     source,
     target,
@@ -329,8 +330,9 @@ def stepwise_atlas_point(rng: random.Random) -> AtlasPoint:
 
 
 def stepwise_broken_action(m: AtlasPoint, g: GroupElement) -> AtlasPoint:
-    """The broken structure's action as three Matrix2C operations."""
-    return AtlasPoint(g.a.inverse() @ (m.a @ g.a), m.t)
+    """The broken structure's action as three Matrix2C operations, inverting
+    g.a as g_inverse does, by the det g carries."""
+    return AtlasPoint(g_inverse(g).a @ (m.a @ g.a), m.t)
 
 
 def rotation_power(z0: complex, alpha_value: float, k: int) -> complex:

@@ -63,7 +63,7 @@ from teichkit import (
     twin,
     z_action,
 )
-from teichkit.tolerance import resolve
+from teichkit.tolerance import resolve, within
 
 FIXTURES_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -122,7 +122,8 @@ def _random_atlas_point(rng):
 
 
 def _group_close(x, y, tol):
-    return x.a.close_to(y.a, tol) and abs(x.t - y.t) <= tol
+    with tolerance(tol):
+        return within(max(abs(x.t - y.t), *(abs(u - v) for u, v in zip(x.a.entries(), y.a.entries()))))
 
 
 def _in_fundamental_domain(tau, eps):

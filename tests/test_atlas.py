@@ -32,6 +32,7 @@ from teichkit import (
 )
 from teichkit import atlas, tolerance
 from teichkit.cli import dispatch
+from teichkit.tolerance import within
 from oracles import exact_matrix_power, exact_twisted_power
 
 DIAG21 = Matrix2C.diag(2.0, 1.0)
@@ -40,7 +41,9 @@ M_SAMPLE = AtlasPoint(Matrix2C.diag(0.5, 0.25), 1 + 2j)
 
 
 def g_close(x: GroupElement, y: GroupElement, tol: float = 1e-9) -> bool:
-    return x.a.close_to(y.a, tol) and abs(x.t - y.t) <= tol
+    """Whether the largest twist or entry difference is at most tol."""
+    with tolerance(tol):
+        return within(max(abs(x.t - y.t), *(abs(u - v) for u, v in zip(x.a.entries(), y.a.entries()))))
 
 
 def random_group_element(rng: random.Random) -> GroupElement:
@@ -297,9 +300,35 @@ class TestSourceTarget:
         g = GroupElement(Matrix2C(1.0, 1.0, 0.0, 1.0), 0j)
         moved = target(g, M_SAMPLE, broken_structure())
         assert moved.t == M_SAMPLE.t
-        assert not moved.a.close_to(M_SAMPLE.a, 1e-9)
+        assert not g_close(moved, M_SAMPLE)
         # conjugation preserves the determinant
         assert moved.a.det == pytest.approx(M_SAMPLE.a.det, abs=1e-12)
+
+    def test_broken_target_inverts_by_the_carried_det(self):
+        # det 1e-10 is below eps; g_inverse and the action invert it alike
+        g = GroupElement(Matrix2C.diag(1e-5, 1e-5), 0j)
+        m = AtlasPoint(Matrix2C(0.5, 4.0, 0.0, 0.25), 1j)
+        moved = target(g, m, broken_structure())
+        assert moved.a.entries() == (g_inverse(g).a @ (m.a @ g.a)).entries() and moved.t == m.t
+        g_doc = '{"a":[[[1e-5,0],[0,0]],[[0,0],[1e-5,0]]],"t":[0,0]}'
+        m_doc = '{"a":[[[0.5,0],[4,0]],[[0,0],[0.25,0]]],"t":[0,1]}'
+        for argv, key in (
+            (["atlas", "ginv", "--x", g_doc], "result"),
+            (["atlas", "target", "--structure", "broken", "--g", g_doc, "--m", m_doc], "point"),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            assert dispatch(argv, out, err) == 0, err.getvalue()
+            assert set(json.loads(out.getvalue())) == {key}
+
+    def test_wide_eps_identity_is_not_refused_as_singular(self):
+        # at eps 1.0 the identity's det 1 was refused by the action's own
+        # inverse; now the law fails only because no matrix is contracting
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["--eps", "1.0", "atlas", "check", "--structure", "broken", "--samples", "1"]
+        assert dispatch(argv, out, err) == 0, err.getvalue()
+        (law,) = [law for law in json.loads(out.getvalue())["laws"] if law["name"] == "action-identity"]
+        assert "singular_matrix" not in law["counterexample"]["detail"]
+        assert law["counterexample"]["detail"].startswith("action raised not_contracting")
 
 
 class TestStructureRegistry:

@@ -1,8 +1,11 @@
 """Classification of contracting germs up to biholomorphism."""
 
 import cmath
+import io
+import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +146,19 @@ class TestClassify:
     def test_resonant_form_zero_coefficient_is_diagonal(self):
         assert classify(ResonantForm(0.5, 2, 0.0)) == Diagonal(0.5, 0.25)
         assert classify(ResonantForm(0.5, 2, 1e-12)) == Diagonal(0.5, 0.25)
+
+    @pytest.mark.parametrize("p", [10**300, 10**400])
+    def test_zero_coefficient_order_past_float_range(self, p):
+        # lam**p underflows to 0 for any such p, past float range or not
+        from teichkit.cli import dispatch
+
+        message = "eigenvalue moduli must lie strictly inside (0, 1)"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            classify(ResonantForm(0.5, p, 0))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["hopf", "biholo", "--a", f'{{"lambda":[0.5,0],"p":{p},"c":[0,0]}}', "--b", "[[[0.5,0],[0,0]],[[0,0],[0.25,0]]]"]
+        assert dispatch(argv, out, err) == 1 and out.getvalue() == ""
+        assert json.loads(err.getvalue()) == {"error": "invalid_input", "message": message}
 
     def test_coefficient_independence(self):
         want = classify(ResonantForm(0.4, 3, 1.0))

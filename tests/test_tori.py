@@ -1,5 +1,7 @@
 """Moduli of complex tori: reduction, equivalence, fiber translations."""
 
+import io
+import json
 import math
 import random
 
@@ -63,6 +65,17 @@ class TestMoebius:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(InvalidInputError):
             moebius(T, 1 - 1j)
+
+    @pytest.mark.parametrize("m", [IntMatrix2(1, 10**400, 0, 1), IntMatrix2(1, 0, 10**400, 1)])
+    def test_rejects_an_entry_past_float_range(self, m):
+        from teichkit.cli import dispatch
+
+        with pytest.raises(InvalidInputError, match="^m has an entry past float range$"):
+            moebius(m, 0.1 + 1j)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["tori", "moebius", "--m", json.dumps([list(row) for row in m.rows()]), "--tau", "0.1", "1"]
+        assert dispatch(argv, out, err) == 1 and out.getvalue() == ""
+        assert json.loads(err.getvalue()) == {"error": "invalid_input", "message": "m has an entry past float range"}
 
     @given(upper_taus, st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=150)
