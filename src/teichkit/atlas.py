@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from .algebra import _TWO_PI, Matrix2C, Value, _ensure_int, ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotContractingError, SingularMatrixError, TeichkitError

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Any, Callable, NamedTuple
+from collections import namedtuple
 
 import teichkit
 
@@ -99,17 +99,12 @@ def _resolve_eps(value) -> float:
 _REQUIRED = object()  # the default of a flag that must be given
 
 
-class Kind(NamedTuple):
-    """How the parser reads one kind of flag, and how dispatch decodes it:
-    `nargs` tokens (None: one or more, up to the next option), each
-    converted; `decode(value, flag name)` then gets one token, or a list."""
-
-    decode: Callable[[Any, str], Any] = lambda raw, label: raw
-    nargs: int | None = 1
-    convert: Callable[[str], Any] = str
-    metavar: str = ""  # names the values in help; empty: the flag's name in capitals
-    choices: tuple = ()
-    default: Any = _REQUIRED
+# How the parser reads one kind of flag, and how dispatch decodes it:
+# `nargs` tokens (None: one or more, up to the next option), each
+# converted; `decode(value, flag name)` then gets one token, or a list.
+# `metavar` names the values in help; empty: the flag's name in capitals.
+Kind = namedtuple("Kind", "decode nargs convert metavar choices default",
+                  defaults=(lambda raw, label: raw, 1, str, "", (), _REQUIRED))
 
 
 def _int_matrix(raw, label):
@@ -162,22 +157,17 @@ class Flag:
     """One --name option of a verb: its kind, help text and default.  A flag
     without a default is required; an absent one of a one_of verb is None."""
 
-    def __init__(self, name: str, kind: str, help: str = "", default: Any = _REQUIRED) -> None:
+    def __init__(self, name: str, kind: str, help: str = "", default=_REQUIRED) -> None:
         self.name, self.kind, self.help = name, KINDS[kind], help
         self.default = self.kind.default if default is _REQUIRED else default
         self.usage = f"--{name} {self.kind.metavar or name.upper()}"  # in help text
         self.label = f"argument --{name}"  # in usage errors
 
 
-class Verb(NamedTuple):
-    """One row of the verb table: `teichkit GROUP NAME --flag ...`."""
-
-    group: str
-    name: str
-    help: str
-    flags: tuple[Flag, ...]
-    run: Callable  # decoded flag values, in order -> payload or (payload, exit code)
-    one_of: bool = False  # the flags form one required mutually exclusive group
+# One row of the verb table: `teichkit GROUP NAME --flag ...`.  `run` takes the
+# decoded values of `flags`, in order, and returns a payload or (payload, exit
+# code); with `one_of` the flags form one required mutually exclusive group.
+Verb = namedtuple("Verb", "group name help flags run one_of", defaults=(False,))
 
 
 # ------------------------------------------------------------------ payloads

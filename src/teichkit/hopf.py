@@ -39,6 +39,11 @@ class ResonantForm(Value):
 ContractionInput = Matrix2C | ResonantForm
 
 
+def _contracting(l1: complex, l2: complex) -> bool:
+    """The one contraction test: both root moduli in (0, 1), with an eps guard band."""
+    return inside_unit(abs(l1)) and inside_unit(abs(l2))
+
+
 class Diagonal(Value):
     """Class of the diagonal surface with eigenvalues (lambda1, lambda2)."""
 
@@ -48,7 +53,7 @@ class Diagonal(Value):
     def __init__(self, lambda1: complex, lambda2: complex) -> None:
         l1 = ensure_finite(lambda1, "lambda1")
         l2 = ensure_finite(lambda2, "lambda2")
-        if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
+        if not _contracting(l1, l2):
             raise InvalidInputError("eigenvalue moduli must lie strictly inside (0, 1)")
         if below(abs(l1), abs(l2)):
             raise InvalidInputError("Diagonal expects moduli in descending order")
@@ -79,8 +84,7 @@ def is_contracting(m: Matrix2C) -> bool:
     algebra._roots: eigen2's eigenvalues, without eigen2's canonical order
     and diagonalizability tests.  The answer is the one eigen2's moduli give.
     """
-    l1, l2 = _roots(m.a * m.d - m.b * m.c, m.a + m.d)
-    return inside_unit(abs(l1)) and inside_unit(abs(l2))
+    return _contracting(*_roots(m.a * m.d - m.b * m.c, m.a + m.d))
 
 
 def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
@@ -117,12 +121,12 @@ def classify(data: ContractionInput) -> HopfClass:
     gives Resonant(lam, 1).  A resonant form with c = 0 is linear diagonal
     with eigenvalues (lam, lam**p); with c != 0 the class is Resonant(lam, p)
     independently of c (conjugating by (z, w) -> (c*z, w) rescales c to 1).
-    A matrix's roots are solved once, by eigen2, and their moduli tested as
-    is_contracting tests them; a class decided here is built unchecked.
+    A matrix's roots are solved once, by eigen2, and tested by _contracting,
+    as is_contracting tests them; a class decided here is built unchecked.
     """
     if isinstance(data, Matrix2C):
         l1, l2, diagonalizable = eigen2(data)
-        if not (inside_unit(abs(l1)) and inside_unit(abs(l2))):
+        if not _contracting(l1, l2):
             raise NotContractingError("matrix eigenvalue moduli must lie in (0, 1)")
         if diagonalizable:
             return Diagonal._of(l1, l2)
@@ -142,8 +146,12 @@ def classify(data: ContractionInput) -> HopfClass:
 
 
 def class_equal(a: HopfClass, b: HopfClass) -> bool:
+    """Whether two classes are one within eps.  A Diagonal class is an unordered
+    pair: either pairing of the eigenvalues may match, each pair within eps, as
+    the canonical order jumps where an argument crosses 0 at a modulus tie."""
     if isinstance(a, Diagonal) and isinstance(b, Diagonal):
-        return within(a.lambda1 - b.lambda1) and within(a.lambda2 - b.lambda2)
+        x, y = b.lambda1, b.lambda2
+        return within(a.lambda1 - x) and within(a.lambda2 - y) or within(a.lambda1 - y) and within(a.lambda2 - x)
     if isinstance(a, Resonant) and isinstance(b, Resonant):
         return a.p == b.p and within(a.lam - b.lam)
     return False

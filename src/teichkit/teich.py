@@ -22,20 +22,19 @@ import cmath
 
 from .algebra import Value, _roots, ensure_finite, ensure_real, order_by_modulus, quadratic_roots
 from .errors import InvalidPointError, SamePointError
-from .hopf import Diagonal, HopfClass, Resonant, resonance_order
-from .tolerance import inside_unit, within
+from .hopf import Diagonal, HopfClass, Resonant, _contracting, resonance_order
+from .tolerance import within
 
 
 def in_base_domain(det: complex, trace: complex) -> bool:
     """Whether (det, trace) is realized by a contracting invertible matrix:
-    both roots of x**2 - trace*x + det have modulus in (0, 1), tested with
-    the usual eps guard band (which also forces det != 0).  Only the moduli
-    matter, so the roots are algebra._roots' unordered pair, with the errors
-    of quadratic_roots for a non-number or a non-finite value."""
+    both roots of x**2 - trace*x + det pass hopf._contracting, the test
+    is_contracting makes (its guard band also forces det != 0).  Only the
+    moduli matter, so the roots are algebra._roots' unordered pair, with the
+    errors of quadratic_roots for a non-number or a non-finite value."""
     if type(det) is not complex or type(trace) is not complex:
         det, trace = ensure_finite(det, "d"), ensure_finite(trace, "t")
-    r1, r2 = _roots(det, trace)
-    return inside_unit(abs(r1)) and inside_unit(abs(r2))
+    return _contracting(*_roots(det, trace))
 
 
 class BasePoint(Value):

@@ -8,10 +8,11 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teichkit import (
+    DEFAULT_EPS,
     RESONANCE_MAX_ORDER,
     Diagonal,
     InvalidInputError,
@@ -23,6 +24,7 @@ from teichkit import (
     class_equal,
     classify,
     eigen2,
+    in_base_domain,
     is_contracting,
     resonance_order,
     tolerance,
@@ -60,6 +62,7 @@ class TestIsContracting:
         m = basis @ (Matrix2C.diag(lam1, lam2) @ basis.inverse())
         l1, l2, _ = eigen2(m)
         assert is_contracting(m) == (inside_unit(abs(l1)) and inside_unit(abs(l2)))
+        assert is_contracting(m) == in_base_domain(m.det, m.trace)
 
     @pytest.mark.parametrize("entries", [(1e200, 0, 0, 1e200), (1e308, 0, 0, 1e308)])
     def test_overflowing_det_raises_as_eigen2(self, entries):
@@ -298,10 +301,30 @@ class TestBiholomorphic:
         with tolerance(1e-6):
             assert biholomorphic(a, b)
 
+    @given(
+        st.floats(0.05, 0.95), st.floats(0.1, 2 * math.pi - 0.1),
+        st.floats(0.0, 0.45), st.floats(0.0, 2 * math.pi), st.floats(0.0, 0.45), st.floats(0.0, 2 * math.pi),
+    )
+    @example(0.5, math.pi / 2, 5e-4, 1.5 * math.pi, 0.0, 0.0)  # diag(0.5, 0.5j) against 0.5 - 5e-13j
+    @settings(max_examples=150, deadline=None)
+    def test_unordered_pairs_within_half_eps_across_the_argument_cut(self, r, phi, s1, theta1, s2, theta2):
+        # l1 sits on the cut at argument 0 and ties l2 in modulus: a shift of
+        # l1 to below the real axis moves it to the far end of the tie order
+        l1, l2 = complex(r), cmath.rect(r, phi)
+        near1, near2 = l1 + cmath.rect(s1 * DEFAULT_EPS, theta1), l2 + cmath.rect(s2 * DEFAULT_EPS, theta2)
+        assert biholomorphic(Matrix2C.diag(l1, l2), Matrix2C.diag(near1, near2))
+
 
 class TestClassEqual:
     def test_cross_kind(self):
         assert not class_equal(Diagonal(0.5, 0.25), Resonant(0.5, 2))
+
+    @given(st.floats(0.05, 0.95), st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
+    @example(0.5, math.pi / 2, 0.0)  # Diagonal(0.5j, 0.5) and Diagonal(0.5, 0.5j): one surface
+    @settings(max_examples=150)
+    def test_diagonal_is_an_unordered_pair_at_a_modulus_tie(self, r, phi1, phi2):
+        a, b = cmath.rect(r, phi1), cmath.rect(r, phi2)
+        assert class_equal(Diagonal(a, b), Diagonal(b, a))
 
     def test_resonant_order_matters(self):
         assert not class_equal(Resonant(0.5, 2), Resonant(0.5, 3))

@@ -51,10 +51,10 @@ PUBLIC = {
 SUBMODULES = ("algebra", "atlas", "errors", "fixtures", "foliation", "hopf", "jsonio", "surd", "teich", "tori")
 
 
-def fresh(code: str, *args: str) -> str:
-    """stdout of `code` run in a new interpreter that imports this checkout's teichkit."""
+def fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
+    """stdout of `code` run in a new interpreter, started with `flags`, that imports this checkout's teichkit."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r}); {code}", *args],
+        [sys.executable, *flags, "-c", f"import sys; sys.path.insert(0, {SRC!r}); {code}", *args],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -193,14 +193,19 @@ def test_value_types_import_neither_dataclasses_nor_inspect(argv):
     assert "teichkit.cli" in added
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [*FIRST_VERBS, ["fixtures", "run", "--dir", FIXTURES], ["--help"], ["alg", "idet"]],
-    ids=lambda argv: " ".join(argv[:2]),
-)
+DISPATCHES = [*FIRST_VERBS, ["fixtures", "run", "--dir", FIXTURES], ["--help"], ["alg", "idet"]]
+
+
+@pytest.mark.parametrize("argv", DISPATCHES, ids=lambda argv: " ".join(argv[:2]))
 def test_no_dispatch_imports_argparse(argv):
     # the parser reads the verb table itself; help and usage errors too
     assert "argparse" not in set(fresh(DISPATCH, *argv).split())
+
+
+@pytest.mark.parametrize("argv", DISPATCHES, ids=lambda argv: " ".join(argv[:2]))
+def test_no_dispatch_imports_typing(argv):
+    # -S: without site, whose .pth hooks of installed packages may import typing first
+    assert "typing" not in set(fresh(DISPATCH, *argv, flags=("-S",)).split())
 
 
 @pytest.mark.parametrize("argv", [argv for argv in FIRST_VERBS if argv[0] != "fol"], ids=lambda argv: argv[0])
