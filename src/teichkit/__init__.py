@@ -24,7 +24,8 @@ from .errors import (
     SingularMatrixError,
     TeichkitError,
 )
-from .tolerance import DEFAULT_EPS, tolerance
+from . import tolerance
+from .tolerance import DEFAULT_EPS
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,7 @@ _LAZY = {
         "RESONANCE_MAX_ORDER", "ContractionInput", "Diagonal", "HopfClass", "Resonant", "ResonantForm",
         "biholomorphic", "class_equal", "classify", "is_contracting", "resonance_order",
     ),
-    "surd": ("QuadraticIrrational", "continued_fraction_expansion", "moebius_surd", "periodic_state_keys"),
+    "surd": ("QuadraticIrrational", "moebius_surd"),
     "teich": (
         "BasePoint", "CurvePoint", "TeichPoint", "adheres", "class_of_point", "image", "in_base_domain",
         "neighborhood_contains", "point_of_class", "points_equal", "separated", "twin",
@@ -59,9 +60,9 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-# every public name: those bound above, except the submodules, and the lazy ones
+# every public name: those bound above, except the submodules other than the callable tolerance, and the lazy ones
 __all__ = sorted(
-    [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
+    [n for n, v in globals().items() if n[0] != "_" and (callable(v) or not isinstance(v, _types.ModuleType))]
     + list(_HOME)
 )
 

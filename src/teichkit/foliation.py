@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import Value, _ensure_int, ensure_finite
 from .errors import InvalidInputError, LimitExceededError, NotOnCircleError
-from .surd import QuadraticIrrational, _equivalent, continued_fraction_expansion
+from .surd import QuadraticIrrational, _equivalent, _first_reduced, _period
 from .tolerance import within
 
 Slope = Fraction | QuadraticIrrational
@@ -174,7 +174,8 @@ def cf_expand(alpha: Slope) -> ContinuedFraction:
     """
     _require_slope(alpha, "alpha")
     if isinstance(alpha, QuadraticIrrational):  # quotients valid by construction
-        return ContinuedFraction._of(*continued_fraction_expansion(alpha))
+        reduced = _first_reduced(alpha)
+        return ContinuedFraction._of(tuple(reduced[0]), tuple([a for _, _, a in _period(alpha.d, *reduced)]))
     return ContinuedFraction._of(_euclid_quotients(alpha), ())
 
 
@@ -198,7 +199,7 @@ def morita_equivalent(alpha: Slope, beta: Slope) -> bool:
     map of determinant +-1 carries one to the other; by Serret's theorem
     that is a shared continued-fraction tail, detected here as a common
     exact complete quotient in the two cycles.  Unequal discriminants need no
-    expansion, else alpha's cycle and beta's preperiod run under cf_expand's limit.
+    expansion, else alpha's cycle is walked until it meets beta's first reduced state.
     """
     _require_slope(alpha, "alpha")
     _require_slope(beta, "beta")

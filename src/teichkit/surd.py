@@ -16,6 +16,7 @@ first reduced state, the period until that state comes back.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from .algebra import IntMatrix2, Value, _ensure_int
 from .errors import InvalidInputError, LimitExceededError, SingularMatrixError
 
@@ -96,55 +97,34 @@ def _first_reduced(x: QuadraticIrrational) -> tuple[list[int], int, int, int]:
     raise LimitExceededError(f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients")
 
 
-def _expansion_states(x: QuadraticIrrational) -> tuple[list[int], list[tuple[int, int]], int]:
-    """(quotients, cycle states, cycle_start) of x to the end of its first
-    period: the states (p, q) of the period only, each with q > 0."""
-    quotients, p, q, s = _first_reduced(x)
-    d, k, p0, q0, states = x.d, len(quotients), p, q, []
-    for _ in range(_MAX_CF_STEPS + 1 - k):
-        states.append((p, q))
+def _period(d: int, quotients: list[int], p: int, q: int, s: int) -> Iterator[tuple[int, int, int]]:
+    """Each state (p, q) of one period, q > 0, with its partial quotient, from
+    _first_reduced's (quotients, p, q, s) of a surd with radicand d.  Refuses
+    when the period is not closed within _MAX_CF_STEPS + 1 quotients, the
+    preperiod's included; a caller that stops early is not refused."""
+    p0, q0 = p, q
+    for _ in range(_MAX_CF_STEPS + 1 - len(quotients)):
         a = (p + s) // q
+        yield p, q, a
         p = a * q - p
         q = (d - p * p) // q
-        quotients.append(a)
         if q == q0 and p == p0:
-            return quotients, states, k
+            return
     raise LimitExceededError(f"continued fraction does not repeat within {_MAX_CF_STEPS} partial quotients")
-
-
-def continued_fraction_expansion(
-    x: QuadraticIrrational,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Preperiod and minimal period of the continued fraction of x."""
-    quotients, _, k = _expansion_states(x)
-    return tuple(quotients[:k]), tuple(quotients[k:])
-
-
-def periodic_state_keys(x: QuadraticIrrational) -> frozenset[tuple[int, int, int, int]]:
-    """Canonical keys of the complete quotients in the periodic cycle of x.
-
-    Two quadratic irrationals have a common continued-fraction tail exactly
-    when these sets intersect (the expansion of a number is unique, so one
-    shared complete quotient forces identical tails from there on).  A state
-    keeps the invariant q | d - p**2, so its key needs no rescale.
-    """
-    _, states, _ = _expansion_states(x)
-    return frozenset(_key(p, q, x.d) for p, q in states)
 
 
 def _equivalent(x: QuadraticIrrational, y: QuadraticIrrational) -> bool:
     """Whether x and y share a continued-fraction tail: unequal discriminants of
-    their keys say no, else y's first reduced state is sought in x's cycle.  A
-    cycle state (p, q) has key (q, -2*p, (p*p - d) / q) / g, and no step changes
-    the content g = |q| / a; the discriminant fixes the third entry."""
+    their keys say no, else x's cycle is walked until it meets y's first reduced
+    state.  A cycle state (p, q) has key (q, -2*p, (p*p - d) / q) / g, and no step
+    changes the content g = |q| / a; the discriminant fixes the third entry."""
     a, b, c, _ = _key(x.p, x.q, x.d)
     e, f, h, _ = _key(y.p, y.q, y.d)
     if b * b - 4 * a * c != f * f - 4 * e * h:
         return False
     gx, gy = abs(x.q) // a, abs(y.q) // e
     _, p, q, _ = _first_reduced(y)
-    _, states, _ = _expansion_states(x)
-    return (p * gx, q * gx) in [(u * gy, v * gy) for u, v in states]
+    return (p * gx, q * gx) in ((u * gy, v * gy) for u, v, _ in _period(x.d, *_first_reduced(x)))
 
 
 def moebius_surd(m: IntMatrix2, x: QuadraticIrrational) -> QuadraticIrrational:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import contextvars
 import math
+import sys
+import types
 
 DEFAULT_EPS = 1e-9
 
@@ -53,6 +55,17 @@ class _Block:
 def tolerance(eps: float) -> _Block:
     """Compare within ``eps``, a positive finite real, inside the block; checked on entry."""
     return _Block(eps)
+
+
+class _Module(types.ModuleType):
+    """This module, callable as :func:`tolerance`: ``teichkit.tolerance`` is the
+    module, and ``teichkit.tolerance(eps)`` still opens a block."""
+
+    def __call__(self, eps: float) -> _Block:
+        return _Block(eps)
+
+
+sys.modules[__name__].__class__ = _Module
 
 
 def resolve() -> float:

@@ -39,14 +39,17 @@ def require_upper_half(tau: complex, what: str = "tau") -> complex:
 
 
 def moebius(m: IntMatrix2, tau: complex) -> complex:
-    """(a*tau + b) / (c*tau + d) for m in SL2(Z)."""
+    """(a*tau + b) / (c*tau + d) for m in SL2(Z); an entry or an image past float range is refused."""
     if m.det() != 1:
         raise NotUnimodularError(f"moebius action requires det 1, got {m.det()}")
     tau = require_upper_half(tau)
     try:
-        return (m.a * tau + m.b) / (m.c * tau + m.d)
+        image = (m.a * tau + m.b) / (m.c * tau + m.d)
     except OverflowError:  # an exact entry that float() cannot hold
         raise InvalidInputError("m has an entry past float range") from None
+    if not (math.isfinite(image.real) and math.isfinite(image.imag)):
+        raise InvalidInputError("the image of tau under m is past float range")
+    return image
 
 
 def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:

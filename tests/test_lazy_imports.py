@@ -4,7 +4,6 @@ public API that the lazy package namespace must keep."""
 import json
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -37,7 +36,7 @@ PUBLIC = {
         "biholomorphic", "class_equal", "classify", "is_contracting", "resonance_order",
     ),
     "jsonio": ("SchemaError", "canonical_dumps"),
-    "surd": ("QuadraticIrrational", "continued_fraction_expansion", "moebius_surd", "periodic_state_keys"),
+    "surd": ("QuadraticIrrational", "moebius_surd"),
     "teich": (
         "BasePoint", "CurvePoint", "TeichPoint", "adheres", "class_of_point", "image", "in_base_domain",
         "neighborhood_contains", "point_of_class", "points_equal", "separated", "twin",
@@ -139,14 +138,16 @@ def test_concurrent_first_dispatches_of_a_group():
 class TestPublicApi:
     def test_all_is_every_public_name_sorted(self):
         names = [name for names in PUBLIC.values() for name in names]
-        assert len(names) == 87
+        assert len(names) == 85
         assert teichkit.__all__ == sorted(names)
 
     def test_each_name_is_its_modules_object(self):
         for module, names in PUBLIC.items():
-            home = sys.modules[f"teichkit.{module}"] if module == "tolerance" else getattr(teichkit, module)
+            home = getattr(teichkit, module)
             for name in names:
-                assert getattr(teichkit, name) is getattr(home, name), name
+                # the tolerance module is itself the public name tolerance
+                want = home if (module, name) == ("tolerance", "tolerance") else getattr(home, name)
+                assert getattr(teichkit, name) is want, name
 
     def test_star_import_and_dir_list_every_name(self):
         namespace = {}
@@ -172,10 +173,15 @@ class TestPublicApi:
         ["import teichkit.tolerance", "import teichkit.hopf", "import teichkit.cli", "from teichkit import jsonio", "import teichkit"],
     )
     def test_tolerance_is_the_context_manager(self, first):
-        # pins, without fixing, the package attribute shadowing the submodule
-        code = f"{first}; import teichkit, types; print(isinstance(teichkit.tolerance, types.FunctionType))"
-        assert fresh(code).split() == ["True"]
-        assert isinstance(teichkit.tolerance, types.FunctionType)
+        # the package attribute is the submodule, whatever is imported first, and calling it opens a block
+        code = (
+            f"{first}; import teichkit, teichkit.tolerance as m; m2 = sys.modules['teichkit.tolerance']; "
+            "block = teichkit.tolerance(1e-3); print(teichkit.tolerance is m is m2, m.DEFAULT_EPS, type(block).__name__)"
+        )
+        assert fresh(code).split() == ["True", "1e-09", "_Block"]
+        assert teichkit.tolerance is sys.modules["teichkit.tolerance"]
+        with teichkit.tolerance(1e-3) as eps:
+            assert eps == teichkit.tolerance.resolve() == 1e-3
 
 
 FIXTURES = str(Path(SRC).parent / "fixtures")

@@ -15,19 +15,34 @@ from teichkit import (
     QuadraticIrrational,
     SingularMatrixError,
     cf_expand,
-    continued_fraction_expansion,
     morita_equivalent,
     moebius_surd,
-    periodic_state_keys,
 )
 from teichkit import surd
-from teichkit.surd import _expansion_states, _key
+from teichkit.surd import _key
 from oracles import random_unimodular, surd_cycle, surd_floor
 
 SQRT2 = QuadraticIrrational(0, 1, 2)
 GOLDEN = QuadraticIrrational(1, 2, 5)
 
 _NON_SQUARES = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 19, 21, 22, 23, 29, 31]
+
+
+def expansion(x):
+    """(preperiod, period) of x, as cf_expand gives them."""
+    cf = cf_expand(x)
+    return cf.preperiod, cf.period
+
+
+def walk(x):
+    """The (p, q, a) of each state of x's period, from the first reduced one."""
+    return list(surd._period(x.d, *surd._first_reduced(x)))
+
+
+def cycle_keys(x):
+    """Canonical keys of the complete quotients in x's periodic cycle.  Two
+    surds share a continued-fraction tail exactly when these sets intersect."""
+    return frozenset(_key(p, q, x.d) for p, q, _ in walk(x))
 
 
 def surds():
@@ -124,28 +139,28 @@ class TestFloor:
 
 class TestContinuedFraction:
     def test_sqrt2(self):
-        assert continued_fraction_expansion(SQRT2) == ((1,), (2,))
+        assert expansion(SQRT2) == ((1,), (2,))
 
     def test_golden(self):
-        assert continued_fraction_expansion(GOLDEN) == ((), (1,))
+        assert expansion(GOLDEN) == ((), (1,))
 
     def test_sqrt3(self):
-        assert continued_fraction_expansion(QuadraticIrrational(0, 1, 3)) == ((1,), (1, 2))
+        assert expansion(QuadraticIrrational(0, 1, 3)) == ((1,), (1, 2))
 
     def test_longer_preperiod(self):
         x = QuadraticIrrational(3, 7, 2)  # (3+sqrt 2)/7
-        assert continued_fraction_expansion(x) == ((0, 1, 1, 1), (2,))
+        assert expansion(x) == ((0, 1, 1, 1), (2,))
 
     def test_negative_value(self):
         x = QuadraticIrrational(0, -1, 2)  # -sqrt(2)
-        pre, per = continued_fraction_expansion(x)
+        pre, per = expansion(x)
         assert pre[0] == -2
         assert all(a >= 1 for a in pre[1:] + per)
 
     @given(surds())
     @settings(max_examples=150)
     def test_period_nonempty_and_positive(self, x):
-        pre, per = continued_fraction_expansion(x)
+        pre, per = expansion(x)
         assert per
         assert all(a >= 1 for a in per)
         assert all(a >= 1 for a in pre[1:])
@@ -153,7 +168,7 @@ class TestContinuedFraction:
     @given(surds())
     @settings(max_examples=80)
     def test_convergents_approach_value(self, x):
-        pre, per = continued_fraction_expansion(x)
+        pre, per = expansion(x)
         quotients = list(pre)
         while len(quotients) < 30:
             quotients.extend(per)
@@ -166,13 +181,13 @@ class TestContinuedFraction:
 class TestPeriodicStateKeys:
     def test_shared_tail(self):
         shifted = QuadraticIrrational(1, 1, 2)  # 1 + sqrt(2)
-        assert periodic_state_keys(SQRT2) & periodic_state_keys(shifted)
+        assert cycle_keys(SQRT2) & cycle_keys(shifted)
 
     def test_disjoint_tails(self):
-        assert not periodic_state_keys(SQRT2) & periodic_state_keys(GOLDEN)
+        assert not cycle_keys(SQRT2) & cycle_keys(GOLDEN)
 
     def test_purely_periodic_contains_self(self):
-        assert GOLDEN.canonical_key() in periodic_state_keys(GOLDEN)
+        assert GOLDEN.canonical_key() in cycle_keys(GOLDEN)
 
 
 # the (p, q, d) grid of the benchmark's kernels workload, copied
@@ -194,11 +209,11 @@ def grid_and_images() -> list[QuadraticIrrational]:
 class TestCycleStates:
     def test_states_keep_the_invariant_and_key(self):
         for x in grid_and_images():
-            _, states, _ = _expansion_states(x)
-            for p, q in states:
+            for p, q, a in walk(x):
                 assert (x.d - p * p) % q == 0
                 state = QuadraticIrrational(p, q, x.d)
                 assert (state.p, state.q, state.d) == (p, q, x.d)
+                assert a == surd_floor(p, q, x.d)
                 key = _key(p, q, x.d)
                 assert key == state.canonical_key()
                 # a content-1 multiple of q*q*X**2 - 2*p*q*X + p*p - d, leading
@@ -210,8 +225,8 @@ class TestCycleStates:
     def test_matches_state_by_state_reference(self):
         for x in grid_and_images():
             quotients, k, keys = surd_cycle(x)
-            assert continued_fraction_expansion(x) == (tuple(quotients[:k]), tuple(quotients[k:]))
-            assert periodic_state_keys(x) == keys
+            assert expansion(x) == (tuple(quotients[:k]), tuple(quotients[k:]))
+            assert cycle_keys(x) == keys
 
     def test_morita_matches_reference_on_the_grid(self):
         surds = grid_and_images()
@@ -231,7 +246,7 @@ class TestCycleStates:
         surds = grid_and_images()
         monkeypatch.setattr(QuadraticIrrational, "__init__", counting_init)
         for x in surds:
-            periodic_state_keys(x)
+            cycle_keys(x)
         assert calls == []
 
 
@@ -255,8 +270,8 @@ class TestGaloisPeriod:
     @settings(max_examples=150, deadline=None)
     def test_expansion_and_keys_match_reference(self, x):
         quotients, k, keys = surd_cycle(x)
-        assert continued_fraction_expansion(x) == (tuple(quotients[:k]), tuple(quotients[k:]))
-        assert periodic_state_keys(x) == keys
+        assert expansion(x) == (tuple(quotients[:k]), tuple(quotients[k:]))
+        assert cycle_keys(x) == keys
 
     @given(wide_surds(), st.integers(min_value=0, max_value=10**6), st.integers(min_value=-40, max_value=40),
            st.sampled_from((1, 2, 3, -1, -2, 5)))
@@ -290,7 +305,7 @@ class TestGaloisPeriod:
 
     def test_preperiod_ends_at_the_first_reduced_state(self):
         # 3 + sqrt(2) has q > 0 and s - p < q <= s + p, but a positive conjugate
-        assert continued_fraction_expansion(QuadraticIrrational(3, 1, 2)) == ((4,), (2,))
+        assert expansion(QuadraticIrrational(3, 1, 2)) == ((4,), (2,))
 
 
 def refusal_cases() -> list[QuadraticIrrational]:
@@ -310,12 +325,36 @@ class TestRefusalCount:
         for x in refusal_cases():
             quotients, k, keys = surd_cycle(x)
             if len(quotients) > limit + 1:
-                for expand in (cf_expand, continued_fraction_expansion, periodic_state_keys):
+                for expand in (cf_expand, cycle_keys):
                     with pytest.raises(LimitExceededError, match=f"within {limit} partial"):
                         expand(x)
             else:
                 assert cf_expand(x) == ContinuedFraction(tuple(quotients[:k]), tuple(quotients[k:]))
-                assert periodic_state_keys(x) == keys
+                assert cycle_keys(x) == keys
+
+    @pytest.mark.parametrize("limit", range(13))
+    def test_a_surd_meets_itself_right_after_its_preperiod(self, monkeypatch, limit):
+        # Morita stops at the first shared state: the preperiod and one more
+        # quotient count against the limit, not the whole period.  So at limit 5,
+        # sqrt(94) = [9; 1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18] meets
+        # itself, while cf_expand of it is refused
+        monkeypatch.setattr(surd, "_MAX_CF_STEPS", limit)
+        for x in refusal_cases():
+            if surd_cycle(x)[1] > limit:
+                with pytest.raises(LimitExceededError, match=f"within {limit} partial"):
+                    morita_equivalent(x, x)
+            else:
+                assert morita_equivalent(x, x) is True
+
+    def test_an_unshared_tail_needs_the_whole_cycle(self, monkeypatch):
+        # discriminant 424 twice, but x**2 - 106*y**2 and 2*x**2 - 53*y**2 are not
+        # equivalent; after one preperiod quotient each, the cycles have 9 and 7 states
+        x, y = QuadraticIrrational(0, 1, 106), QuadraticIrrational(0, 2, 106)
+        assert morita_equivalent(x, y) is False and morita_equivalent(y, x) is False
+        monkeypatch.setattr(surd, "_MAX_CF_STEPS", 5)
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(LimitExceededError, match="within 5 partial"):
+                morita_equivalent(a, b)
 
     def test_unequal_discriminants_need_no_expansion(self, monkeypatch):
         monkeypatch.setattr(surd, "_MAX_CF_STEPS", 0)

@@ -77,6 +77,18 @@ class TestMoebius:
         assert dispatch(argv, out, err) == 1 and out.getvalue() == ""
         assert json.loads(err.getvalue()) == {"error": "invalid_input", "message": "m has an entry past float range"}
 
+    def test_rejects_an_image_past_float_range(self):
+        from teichkit.cli import dispatch
+
+        m = IntMatrix2(10**308, 10**308 - 1, 1, 1)  # det 1, entries in float range, a * tau is not
+        message = "the image of tau under m is past float range"
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            moebius(m, 10j)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["tori", "moebius", "--matrix", json.dumps([list(row) for row in m.rows()]), "--tau", "0", "10"]
+        assert dispatch(argv, out, err) == 1 and out.getvalue() == ""
+        assert json.loads(err.getvalue()) == {"error": "invalid_input", "message": message}
+
     @given(upper_taus, st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=150)
     def test_group_action(self, tau, seed):

@@ -58,12 +58,27 @@ def test_check_sample_count_is_capped():
     assert_json_error(["atlas", "check", "--samples", str(MAX_CHECK_SAMPLES + 1)], "limit_exceeded")
 
 
+# finite parts whose modulus is past float range
+HUGE = "1.3e308"
+HUGE_MATRIX = f"[[[{HUGE},{HUGE}],[0,0]],[[0,0],[1,0]]]"
+HUGE_ELEMENT = f'{{"a":{HUGE_MATRIX},"t":[0,0]}}'
+
+
 def test_modulus_past_float_range_is_invalid_input():
     for argv in (
         # each part is finite, but abs() of lambda_small overflows
         ["hopf", "resonance", "--big", "0.5", "0", "--small", "1.3e308", "1.3e308"],
         # reduction inverts tau, and 1/tau overflows
         ["tori", "reduce", "--tau", "1e-320", "1e-320"],
+        # abs() of an entry, a start point or an eigenvalue overflows in the library,
+        # and only dispatch's OverflowError clause makes these a typed refusal
+        ["atlas", "ginv", "--x", HUGE_ELEMENT],
+        ["atlas", "gmul", "--x", HUGE_ELEMENT, "--y", '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[0,0]}'],
+        ["alg", "inv", "--matrix", HUGE_MATRIX],
+        ["fol", "orbit", "--z0", HUGE, HUGE, "--alpha", "1/3", "--max-points", "3"],
+        ["teich", "point", "--class", f'{{"class":"diagonal","lambda1":[{HUGE},{HUGE}],"lambda2":[0.25,0]}}'],
+        ["teich", "point", "--class", f'{{"class":"resonant","lambda":[{HUGE},{HUGE}],"p":2,"c":[1,0]}}'],
+        ["hopf", "biholo", "--a", f'{{"lambda":[{HUGE},{HUGE}],"p":2,"c":[1,0]}}', "--b", '{"lambda":[0.5,0],"p":2,"c":[1,0]}'],
     ):
         assert_json_error(argv, "invalid_input")
 
