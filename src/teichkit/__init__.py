@@ -55,7 +55,7 @@ _LAZY = {
     "jsonio": ("SchemaError", "canonical_dumps"),
     "tori": (
         "S", "T", "TorusTranslation", "lattice_reduce", "moebius", "reduce_fundamental_domain", "tori_equivalent",
-        "translation_compose", "translation_matrix", "zero_translation",
+        "translation_compose",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

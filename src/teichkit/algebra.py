@@ -227,12 +227,13 @@ class Matrix2C(Value):
 
     def inverse(self) -> "Matrix2C":
         """The inverse, the one eps-tested inverse of a complex matrix:
-        SingularMatrixError when the det ad - bc is zero within the tolerance
-        in force, an absolute test.  A group element's inverse divides by the
-        det it carries instead (atlas.g_inverse)."""
+        SingularMatrixError when det = ad - bc is zero within the tolerance in
+        force relative to |ad| + |bc|, GroupElement's test.  A group element's
+        inverse divides by the det it carries instead (atlas.g_inverse)."""
         a, b, c, d = self.a, self.b, self.c, self.d
-        det = a * d - b * c
-        if within(det):
+        ad, bc = a * d, b * c
+        det = ad - bc
+        if within(det, abs(ad) + abs(bc)):
             raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
         return Matrix2C(d / det, -b / det, -c / det, a / det)
 

@@ -86,11 +86,12 @@ class AtlasPoint(Value):
         self.__dict__.update(a=a, t=ensure_finite(t, "t"))
 
 
-_IDENTITY = Matrix2C.identity()
+_IDENTITY = GroupElement._derived(Matrix2C.identity(), 0j, 1 + 0j)
 
 
 def g_identity() -> GroupElement:
-    return GroupElement._derived(_IDENTITY, 0j, 1 + 0j)
+    """The identity (I, 0): one element, built at import, as elements are immutable."""
+    return _IDENTITY
 
 
 def g_mul(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -265,18 +266,25 @@ def _or_raise(image):
 # matrix for the element or point it returns.
 
 
+def _draw_box(r, lo: float, span: float, least: float) -> tuple[complex, complex, complex, complex, complex]:
+    """Entries a, b, c, d with parts in [lo, lo + span), redrawn until
+    |ad - bc| >= least, and that det; r is the draw's rng.random."""
+    while True:
+        a = complex(lo + span * r(), lo + span * r())
+        b = complex(lo + span * r(), lo + span * r())
+        c = complex(lo + span * r(), lo + span * r())
+        d = complex(lo + span * r(), lo + span * r())
+        det = a * d - b * c
+        if abs(det) >= least:
+            return a, b, c, d, det
+
+
 def _draw_group_element(rng: random.Random) -> GroupElement:
     """Entries in the box of radius 1.5, |det| >= 0.2; twist in radius 2.  The
     element carries that det, ad - bc, and no eps tests it for singularity."""
     r = rng.random
-    while True:
-        a = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
-        b = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
-        c = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
-        d = complex(-1.5 + 3.0 * r(), -1.5 + 3.0 * r())
-        det = a * d - b * c
-        if abs(det) >= 0.2:
-            return GroupElement._derived(Matrix2C(a, b, c, d), complex(-2.0 + 4.0 * r(), -2.0 + 4.0 * r()), det)
+    a, b, c, d, det = _draw_box(r, -1.5, 3.0, 0.2)
+    return GroupElement._derived(Matrix2C(a, b, c, d), complex(-2.0 + 4.0 * r(), -2.0 + 4.0 * r()), det)
 
 
 def _draw_atlas_point(rng: random.Random) -> AtlasPoint:
@@ -289,14 +297,7 @@ def _draw_atlas_point(rng: random.Random) -> AtlasPoint:
     r = rng.random
     lam1 = cmath.rect(0.25 + (0.8 - 0.25) * r(), _TWO_PI * r())
     lam2 = cmath.rect(0.25 + (0.8 - 0.25) * r(), _TWO_PI * r())
-    while True:
-        a = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
-        b = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
-        c = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
-        d = complex(-1.0 + 2.0 * r(), -1.0 + 2.0 * r())
-        det = a * d - b * c
-        if abs(det) >= 0.4:
-            break
+    a, b, c, d, det = _draw_box(r, -1.0, 2.0, 0.4)
     ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
     ea, eb = lam1 * ia + 0j * ic, lam1 * ib + 0j * id_
     ec, ed = 0j * ia + lam2 * ic, 0j * ib + lam2 * id_

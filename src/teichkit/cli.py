@@ -9,6 +9,8 @@ invalid_input, and nothing is printed on stdout.  Each command decodes its
 flags and runs its library call inside one ``with tolerance(eps):`` block.
 eps is --eps, else the TEICHKIT_EPS environment variable, else the tolerance
 already in force where dispatch was called; nothing outlives the block.
+Entering the block is the one eps check: a value that is not a positive
+finite real is a usage error.
 
 Every verb is one row of VERBS: its group, name, help text, typed flags and
 the library call, whose values canonical_dumps writes in the shapes of
@@ -46,7 +48,7 @@ import teichkit
 from . import jsonio
 from .errors import InvalidInputError, TeichkitError
 from .jsonio import SchemaError, canonical_dumps, loads_strict, wire
-from .tolerance import checked_eps, resolve, tolerance
+from .tolerance import resolve, tolerance
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,8 +66,10 @@ def dispatch(argv, out=None, err=None) -> int:
         print(text, end="", file=err if code else out)
         return code
 
+    if eps is None and (eps := os.environ.get("TEICHKIT_EPS")) is None:
+        eps = resolve()
     try:
-        with tolerance(_resolve_eps(eps)):
+        with tolerance(eps):
             values = [None if v is None else flag.kind.decode(v, flag.name) for flag, v in zip(verb.flags, raw)]
             result = verb.run(*values)
         payload, code = result if isinstance(result, tuple) else (result, 0)
@@ -73,7 +77,7 @@ def dispatch(argv, out=None, err=None) -> int:
             text = canonical_dumps(payload)
         except ValueError as exc:  # a result that overflowed, or an integer too long to print
             raise InvalidInputError(f"result cannot be written as JSON: {exc}") from None
-    except SchemaError as exc:
+    except ValueError as exc:  # a SchemaError, or an eps the tolerance block refuses
         print(f"error: {exc}", file=err)
         return 2
     except (TeichkitError, OverflowError) as exc:  # OverflowError: abs() or ** of a complex past float range
@@ -82,16 +86,6 @@ def dispatch(argv, out=None, err=None) -> int:
 
     out.write(text + "\n")
     return code
-
-
-def _resolve_eps(value) -> float:
-    """--eps, else TEICHKIT_EPS, else the tolerance already in force."""
-    if value is None and (value := os.environ.get("TEICHKIT_EPS")) is None:
-        return resolve()
-    try:
-        return checked_eps(value)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
 
 
 # ------------------------------------------------------------ argument kinds

@@ -41,7 +41,7 @@ ContractionInput = Matrix2C | ResonantForm
 
 def _contracting(l1: complex, l2: complex) -> bool:
     """The one contraction test: both root moduli in (0, 1), with an eps guard band."""
-    return inside_unit(abs(l1)) and inside_unit(abs(l2))
+    return inside_unit(l1) and inside_unit(l2)
 
 
 class Diagonal(Value):
@@ -68,7 +68,7 @@ class Resonant(Value):
 
     def __init__(self, lam: complex, p: int) -> None:
         lam = ensure_finite(lam, "lam")
-        if not inside_unit(abs(lam)):
+        if not inside_unit(lam):
             raise InvalidInputError("lam modulus must lie strictly inside (0, 1)")
         self.__dict__.update(lam=lam, p=_ensure_int(p, "p", positive=True))
 
@@ -132,7 +132,7 @@ def classify(data: ContractionInput) -> HopfClass:
             return Diagonal._of(l1, l2)
         return Resonant._of(l1, 1)
     if isinstance(data, ResonantForm):
-        if not inside_unit(abs(data.lam)):
+        if not inside_unit(data.lam):
             raise NotContractingError("resonant form requires 0 < |lam| < 1")
         if within(data.c):  # |lam**p| may fall below the band, so Diagonal decides
             try:

@@ -78,10 +78,13 @@ def within(x: complex, scale: float = 1.0) -> bool:
     return abs(x) <= resolve() * scale
 
 
-def inside_unit(r: float) -> bool:
-    """Whether the modulus ``r`` lies in the open band (eps, 1 - eps)."""
+def inside_unit(z: complex) -> bool:
+    """Whether ``|z|`` lies in the open band (eps, 1 - eps); a modulus past float range does not."""
     eps = resolve()
-    return eps < r < 1.0 - eps
+    try:
+        return eps < abs(z) < 1.0 - eps
+    except OverflowError:  # finite parts whose modulus abs() cannot hold
+        return False
 
 
 def below(x: float, y: float) -> bool:

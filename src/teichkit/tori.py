@@ -27,10 +27,6 @@ _MAX_REDUCE_STEPS = 2000
 _EQUIV_SCALE = 100.0
 
 
-def translation_matrix(n: int) -> IntMatrix2:
-    return IntMatrix2(1, n, 0, 1)
-
-
 def require_upper_half(tau: complex, what: str = "tau") -> complex:
     tau = ensure_finite(tau, what)
     if not tau.imag > 0.0:
@@ -141,10 +137,6 @@ class TorusTranslation(Value):
 
     def inverse(self) -> "TorusTranslation":
         return TorusTranslation(self.tau, -self.x, -self.y)
-
-
-def zero_translation(tau: complex) -> TorusTranslation:
-    return TorusTranslation(tau, 0.0, 0.0)
 
 
 def translation_compose(t1: TorusTranslation, t2: TorusTranslation) -> TorusTranslation:

@@ -119,10 +119,18 @@ class TestMatrix2C:
             Matrix2C(1.0, 2.0, 2.0, 4.0).inverse()
 
     def test_inverse_eps_widens_rejection(self):
-        m = Matrix2C.diag(1e-3, 1e-3)
+        # det about 1e-3, small relative to |ad| + |bc| of about 2
+        m = Matrix2C(1.0, 1.0, 1.0, 1.0 + 1e-3)
         assert m.inverse() is not None
         with pytest.raises(SingularMatrixError), tolerance(1e-2):
             m.inverse()
+
+    def test_inverse_singularity_is_relative(self):
+        # det 2**-30 exactly, below the absolute eps, but not small relative to |ad| + |bc|
+        assert Matrix2C.diag(2**-15, 2**-15).inverse() == Matrix2C.diag(2**15, 2**15)
+        # an exact det of 0 stays singular at any eps
+        with pytest.raises(SingularMatrixError, match=r"det=0j$"), tolerance(1e-300):
+            Matrix2C(1.0, 2.0, 2.0, 4.0).inverse()
 
     def test_rejects_non_finite_entry(self):
         with pytest.raises(InvalidInputError):

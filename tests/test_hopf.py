@@ -178,6 +178,11 @@ class TestClassify:
         with pytest.raises(InvalidInputError):
             classify("diag(0.5, 0.25)")
 
+    def test_form_modulus_past_float_range_is_not_contracting(self):
+        # both parts are finite, but abs() of lam overflows: outside the band
+        with pytest.raises(NotContractingError, match=r"^resonant form requires 0 < \|lam\| < 1$"):
+            classify(ResonantForm(complex(1.3e308, 1.3e308), 2, 1))
+
     def test_matrix_roots_are_solved_once(self, monkeypatch):
         calls = []
         roots = algebra._roots
@@ -247,6 +252,14 @@ class TestHopfClassTypes:
     def test_resonant_requires_a_modulus_inside_the_unit_band(self, lam):
         with pytest.raises(InvalidInputError, match=r"^lam modulus must lie strictly inside \(0, 1\)$"):
             Resonant(lam, 2)
+
+    def test_modulus_past_float_range_is_outside_the_band(self):
+        # both parts are finite, but abs() of the eigenvalue overflows
+        huge = complex(1.3e308, 1.3e308)
+        with pytest.raises(InvalidInputError, match=r"^eigenvalue moduli must lie strictly inside \(0, 1\)$"):
+            Diagonal(huge, 0.25)
+        with pytest.raises(InvalidInputError, match=r"^lam modulus must lie strictly inside \(0, 1\)$"):
+            Resonant(huge, 2)
 
     def test_resonant_requires_positive_order(self):
         with pytest.raises(InvalidInputError):

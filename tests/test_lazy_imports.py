@@ -44,7 +44,7 @@ PUBLIC = {
     "tolerance": ("DEFAULT_EPS", "tolerance"),
     "tori": (
         "S", "T", "TorusTranslation", "lattice_reduce", "moebius", "reduce_fundamental_domain", "tori_equivalent",
-        "translation_compose", "translation_matrix", "zero_translation",
+        "translation_compose",
     ),
 }
 SUBMODULES = ("algebra", "atlas", "errors", "fixtures", "foliation", "hopf", "jsonio", "surd", "teich", "tori")
@@ -138,7 +138,7 @@ def test_concurrent_first_dispatches_of_a_group():
 class TestPublicApi:
     def test_all_is_every_public_name_sorted(self):
         names = [name for names in PUBLIC.values() for name in names]
-        assert len(names) == 85
+        assert len(names) == 83
         assert teichkit.__all__ == sorted(names)
 
     def test_each_name_is_its_modules_object(self):

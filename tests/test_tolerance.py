@@ -100,7 +100,7 @@ def test_tolerance_is_read_only_where_allowed():
     # Every decision goes through within, inside_unit, below or above.
     # Outside tolerance.py the value in force is read only by the CLI, which
     # hands the caller's value on without comparing.
-    allowed = {"cli._resolve_eps"}
+    allowed = {"cli.dispatch"}
     names = {"resolve", "_EPS"}
     reads = set()
 
@@ -150,6 +150,12 @@ def test_within_zero_at_scale_zero(boundary_eps):
 def test_inside_unit_is_open_on_both_ends(boundary_eps, factor, inside):
     assert inside_unit(factor * EPS) is inside
     assert inside_unit(1.0 - factor * EPS) is inside
+
+
+def test_inside_unit_takes_the_value():
+    assert inside_unit(-0.3 + 0.4j) and not inside_unit(0.6 + 0.8j)
+    # both parts are finite, but the modulus is past float range
+    assert not inside_unit(complex(1.3e308, 1.3e308))
 
 
 @pytest.mark.parametrize("factor, tie", OFFSETS)
@@ -286,7 +292,7 @@ def test_reduce_glues_the_arc_past_eps(boundary_eps, factor, tie):
 def test_reduce_moves_the_right_edge_within_eps(boundary_eps, factor, tie):
     tau = (0.5 - factor * EPS) + 2j
     if tie:
-        assert tori.reduce_fundamental_domain(tau) == (tau - 1, tori.translation_matrix(-1))
+        assert tori.reduce_fundamental_domain(tau) == (tau - 1, tori.IntMatrix2(1, -1, 0, 1))
     else:
         assert tori.reduce_fundamental_domain(tau) == (tau, tori.IntMatrix2.identity())
 

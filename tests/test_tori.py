@@ -23,8 +23,6 @@ from teichkit import (
     tolerance,
     tori_equivalent,
     translation_compose,
-    translation_matrix,
-    zero_translation,
 )
 from oracles import fundamental_domain_point, letter_reduction, random_unimodular, tori_witness_search
 
@@ -293,7 +291,7 @@ class TestTranslations:
 
     def test_zero_is_identity(self):
         t = TorusTranslation(1j, 0.3, 0.4)
-        composed = translation_compose(t, zero_translation(1j))
+        composed = translation_compose(t, TorusTranslation(1j, 0.0, 0.0))
         assert (composed.x, composed.y) == (t.x, t.y)
 
     def test_compose_exact_wrap(self):
@@ -308,7 +306,7 @@ class TestTranslations:
         assert (c.x, c.y) == pytest.approx((0.0, 0.0), abs=1e-12)
 
     def test_inverse_of_zero(self):
-        z = zero_translation(1j).inverse()
+        z = TorusTranslation(1j, 0.0, 0.0).inverse()
         assert (z.x, z.y) == (0.0, 0.0)
 
     def test_mismatched_fibers_rejected(self):
@@ -328,7 +326,3 @@ class TestTranslations:
         ab = translation_compose(a, b)
         ba = translation_compose(b, a)
         assert (ab.x, ab.y) == (ba.x, ba.y)
-
-    def test_translation_matrix(self):
-        assert translation_matrix(-5).rows() == ((1, -5), (0, 1))
-        assert translation_matrix(0).det() == 1

@@ -70,17 +70,21 @@ def test_modulus_past_float_range_is_invalid_input():
         ["hopf", "resonance", "--big", "0.5", "0", "--small", "1.3e308", "1.3e308"],
         # reduction inverts tau, and 1/tau overflows
         ["tori", "reduce", "--tau", "1e-320", "1e-320"],
-        # abs() of an entry, a start point or an eigenvalue overflows in the library,
+        # the library refuses an eigenvalue modulus past float range as outside the unit band
+        ["teich", "point", "--class", f'{{"class":"diagonal","lambda1":[{HUGE},{HUGE}],"lambda2":[0.25,0]}}'],
+        ["teich", "point", "--class", f'{{"class":"resonant","lambda":[{HUGE},{HUGE}],"p":2,"c":[1,0]}}'],
+        # abs() of an entry or a start point overflows in the library,
         # and only dispatch's OverflowError clause makes these a typed refusal
         ["atlas", "ginv", "--x", HUGE_ELEMENT],
         ["atlas", "gmul", "--x", HUGE_ELEMENT, "--y", '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[0,0]}'],
         ["alg", "inv", "--matrix", HUGE_MATRIX],
         ["fol", "orbit", "--z0", HUGE, HUGE, "--alpha", "1/3", "--max-points", "3"],
-        ["teich", "point", "--class", f'{{"class":"diagonal","lambda1":[{HUGE},{HUGE}],"lambda2":[0.25,0]}}'],
-        ["teich", "point", "--class", f'{{"class":"resonant","lambda":[{HUGE},{HUGE}],"p":2,"c":[1,0]}}'],
-        ["hopf", "biholo", "--a", f'{{"lambda":[{HUGE},{HUGE}],"p":2,"c":[1,0]}}', "--b", '{"lambda":[0.5,0],"p":2,"c":[1,0]}'],
     ):
         assert_json_error(argv, "invalid_input")
+    # a resonant form's lambda past float range lies outside the unit band, as lambda 2 does
+    for lam in (f"[{HUGE},{HUGE}]", "[2,0]"):
+        assert_json_error(["hopf", "biholo", "--a", f'{{"lambda":{lam},"p":2,"c":[1,0]}}',
+                           "--b", '{"lambda":[0.5,0],"p":2,"c":[1,0]}'], "not_contracting")
 
 
 def test_deeply_nested_json_is_usage_error():
