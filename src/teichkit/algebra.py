@@ -128,7 +128,10 @@ def arg_unit_interval(z: complex) -> float:
 
 def order_by_modulus(z1: complex, z2: complex) -> tuple[complex, complex]:
     """Sort two scalars by descending modulus, ties by ascending argument."""
-    m1, m2 = abs(z1), abs(z2)
+    try:
+        m1, m2 = abs(z1), abs(z2)
+    except OverflowError:  # finite parts whose modulus abs() cannot hold: compare half of each modulus
+        m1, m2 = math.hypot(0.5 * z1.real, 0.5 * z1.imag), math.hypot(0.5 * z2.real, 0.5 * z2.imag)
     if within(m1 - m2):
         return (z1, z2) if arg_unit_interval(z1) <= arg_unit_interval(z2) else (z2, z1)
     return (z1, z2) if m1 > m2 else (z2, z1)
@@ -139,44 +142,46 @@ def quadratic_roots(d: complex, t: complex) -> tuple[complex, complex]:
 
     Cancellation safe: the dominant root comes from the stable branch of the
     quadratic formula (sqrt aligned with t), the other from the product d.
-    Overflow safe: where t*t or 4*d overflows, the dominant root is found on
-    a rescaled equation.  A root too large to represent raises
+    Scale safe: where t*t or 4*d overflows or underflows, both roots are
+    found on a rescaled equation.  A root too large to represent raises
     InvalidInputError.
     """
     return order_by_modulus(*_roots(ensure_finite(d, "d"), ensure_finite(t, "t")))
 
 
 def _roots(d: complex, t: complex) -> tuple[complex, complex]:
-    """Both roots of x**2 - t*x + d for complex d and t, not ordered.
-
-    quadratic_roots without its input conversion and its canonical order.  A
-    non-finite d or t raises the error quadratic_roots raises for it.
-    """
+    """Both roots of x**2 - t*x + d for complex d and t, not ordered: quadratic_roots
+    without its input conversion and canonical order, and with its error for a non-finite d or t."""
     u = cmath.sqrt(t * t - 4.0 * d)
     if t.real * u.real + t.imag * u.imag < 0.0:
         u = -u
     big = 0.5 * (t + u)
-    if not cmath.isfinite(big):  # t*t, 4*d or t + u overflowed, or d or t is not finite
-        big = _scaled_big_root(ensure_finite(d, "d"), ensure_finite(t, "t"))
-    return big, d / big if big != 0 else 0.5 * (t - u)
+    # below 1e-150, t*t or 4*d may have underflowed; a finite big is below 1e155, past 1e300 it is inf or nan
+    if 1e-150 < abs(big) < 1e300:
+        return big, d / big
+    return _scaled_roots(ensure_finite(d, "d"), ensure_finite(t, "t"))
 
 
-def _scaled_big_root(d: complex, t: complex) -> complex:
-    """The dominant root of x**2 - t*x + d, for coefficients so large that
-    the plain discriminant overflows.
+def _scaled_roots(d: complex, t: complex) -> tuple[complex, complex]:
+    """Both roots of x**2 - t*x + d, dominant first, for coefficients so large
+    or so small that the plain discriminant overflows or underflows.
 
     x = s*y, where s is the largest of |Re t|, |Im t|, sqrt|Re d| and
     sqrt|Im d|, and y solves y**2 - (t/s)*y + d/s**2 = 0, whose coefficients
-    are at most 2 in modulus.
+    are at most 2 in modulus.  The small root is (d/s) / y, as d / big can
+    overflow inside the complex division where the quotient is finite.
     """
     s = max(abs(t.real), abs(t.imag), math.sqrt(abs(d.real)), math.sqrt(abs(d.imag)))
+    if s == 0.0:
+        return 0j, 0j
     ts = t / s
     u = cmath.sqrt(ts * ts - 4.0 * (d / s / s))
     if ts.real * u.real + ts.imag * u.imag < 0.0:
         u = -u
-    big = s * (0.5 * (ts + u))
+    y = 0.5 * (ts + u)
+    big = s * y
     if math.isfinite(math.hypot(big.real, big.imag)):  # hypot gives inf where abs raises
-        return big
+        return big, (d / s) / y
     raise InvalidInputError(f"a root of x**2 - t*x + d is too large to represent, d={d!r}, t={t!r}")
 
 
@@ -226,19 +231,27 @@ class Matrix2C(Value):
         )
 
     def inverse(self) -> "Matrix2C":
-        """The inverse, the one eps-tested inverse of a complex matrix:
-        SingularMatrixError when det = ad - bc is zero within the tolerance in
-        force relative to |ad| + |bc|, GroupElement's test.  A group element's
-        inverse divides by the det it carries instead (atlas.g_inverse)."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        ad, bc = a * d, b * c
-        det = ad - bc
-        if within(det, abs(ad) + abs(bc)):
-            raise SingularMatrixError(f"matrix is singular within tolerance, det={det!r}")
-        return Matrix2C(d / det, -b / det, -c / det, a / det)
+        """The inverse, the one eps-tested inverse of a complex matrix, by _checked_det's det;
+        a group element's inverse divides by the det it carries (atlas.g_inverse)."""
+        det = _checked_det(self, "matrix is singular within tolerance, det=")
+        return Matrix2C(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
+
+
+def _checked_det(m: Matrix2C, singular: str) -> complex:
+    """det m = ad - bc, the one singularity test of a complex matrix: SingularMatrixError, `singular`
+    then the det's repr, when the det is zero within eps relative to |ad| + |bc|, and InvalidInputError
+    when ad or bc has finite parts but a modulus past float range."""
+    ad, bc = m.a * m.d, m.b * m.c
+    det = ad - bc
+    try:
+        if within(det, abs(ad) + abs(bc)):
+            raise SingularMatrixError(f"{singular}{det!r}")
+    except OverflowError:  # finite parts whose modulus abs() cannot hold
+        raise InvalidInputError(f"a term of the det is past float range: ad={ad!r}, bc={bc!r}") from None
+    return det
 
 
 def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:
@@ -247,12 +260,12 @@ def eigen2(m: Matrix2C) -> tuple[complex, complex, bool]:
     Distinct eigenvalues beyond eps are always diagonalizable.  For a double
     eigenvalue the rank test on (m - lambda*I) is ill conditioned, so the
     flag is the exact intent instead: the matrix is diagonalizable iff it is
-    the scalar matrix, tested entrywise in max norm.
+    the scalar matrix, tested entrywise.
     """
     l1, l2 = order_by_modulus(*_roots(m.a * m.d - m.b * m.c, m.a + m.d))
     if not within(l1 - l2):
         return l1, l2, True
-    return l1, l2, within(max(abs(m.a - l1), abs(m.b), abs(m.c), abs(m.d - l1)))
+    return l1, l2, within(m.a - l1) and within(m.b) and within(m.c) and within(m.d - l1)
 
 
 def _ensure_int(v: int, what: str, positive: bool = False) -> int:

@@ -27,8 +27,8 @@ import cmath
 import random
 from collections.abc import Callable
 
-from .algebra import _TWO_PI, Matrix2C, Value, _ensure_int, ensure_finite
-from .errors import InvalidInputError, LimitExceededError, NotContractingError, SingularMatrixError, TeichkitError
+from .algebra import _TWO_PI, Matrix2C, Value, _checked_det, _ensure_int, ensure_finite
+from .errors import InvalidInputError, LimitExceededError, NotContractingError, TeichkitError
 from .hopf import is_contracting
 from .tolerance import within
 
@@ -40,9 +40,10 @@ class GroupElement(Value):
 
     The element carries det a in a private ``_det`` entry outside the
     fields, so it takes no part in the repr, equality, hash or wire format.
-    ``GroupElement(a, t)`` is the entry for outside input: it computes
-    ``ad - bc`` and refuses the matrix as singular when that is zero relative
-    to ``|ad| + |bc|``.  Products, inverses and the identity come from
+    ``GroupElement(a, t)`` is the entry for outside input: it takes its det
+    from algebra._checked_det, as ``Matrix2C.inverse`` does, so a matrix that
+    is singular relative to ``|ad| + |bc|``, or whose ``ad`` or ``bc`` has a
+    modulus past float range, is refused.  Products, inverses and the identity come from
     g_mul, g_inverse and g_identity, which derive the det from their
     operands' (det is multiplicative) and test no singularity: they refuse
     a result only when its det underflows to 0 or its det or twist
@@ -55,10 +56,7 @@ class GroupElement(Value):
     def __init__(self, a: Matrix2C, t: complex) -> None:
         if not isinstance(a, Matrix2C):
             raise InvalidInputError(f"matrix part must be Matrix2C, got {type(a).__name__}")
-        ad, bc = a.a * a.d, a.b * a.c
-        det = ad - bc
-        if within(det, abs(ad) + abs(bc)):
-            raise SingularMatrixError(f"group element needs an invertible matrix, det = {det!r}")
+        det = _checked_det(a, "group element needs an invertible matrix, det = ")
         self.__dict__.update(a=a, t=ensure_finite(t, "t"), _det=det)
 
     @classmethod

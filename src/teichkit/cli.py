@@ -80,8 +80,8 @@ def dispatch(argv, out=None, err=None) -> int:
     except ValueError as exc:  # a SchemaError, or an eps the tolerance block refuses
         print(f"error: {exc}", file=err)
         return 2
-    except (TeichkitError, OverflowError) as exc:  # OverflowError: abs() or ** of a complex past float range
-        print(canonical_dumps({"error": getattr(exc, "code", InvalidInputError.code), "message": str(exc)}), file=err)
+    except TeichkitError as exc:
+        print(canonical_dumps({"error": exc.code, "message": str(exc)}), file=err)
         return 1
 
     out.write(text + "\n")

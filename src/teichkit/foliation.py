@@ -145,7 +145,7 @@ def rotation_orbit(z0: complex, alpha: Slope, max_points: int) -> list[complex]:
     if _ensure_int(max_points, "max_points", positive=True) > MAX_ORBIT_POINTS:
         raise LimitExceededError(f"max_points must be at most {MAX_ORBIT_POINTS}, got {max_points}")
     z0 = ensure_finite(z0, "z0")
-    if not within(abs(z0) - 1.0):
+    if not within(math.hypot(z0.real, z0.imag) - 1.0):  # abs(z0), but inf where abs raises
         raise NotOnCircleError(f"orbit start {z0!r} is not on the unit circle")
     if isinstance(alpha, QuadraticIrrational):
         count, turn = max_points, QuadraticIrrational(alpha.p - math.floor(alpha) * alpha.q, alpha.q, alpha.d)

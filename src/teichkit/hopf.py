@@ -92,15 +92,11 @@ def resonance_order(lambda_big: complex, lambda_small: complex) -> int | None:
 
     |lambda_big|**p is strictly decreasing, so the modulus ratio pins down
     the single candidate; one closed-form guess plus one complex
-    verification decides, capped at p <= 64.
+    verification decides, capped at p <= 64.  A modulus past float range is hypot's inf, which the range checks refuse.
     """
     lambda_big = ensure_finite(lambda_big, "lambda_big")
     lambda_small = ensure_finite(lambda_small, "lambda_small")
-    try:
-        b, s = abs(lambda_big), abs(lambda_small)
-    except OverflowError:  # finite parts whose modulus is past float range; hypot gives inf
-        what = "lambda_big" if math.hypot(lambda_big.real, lambda_big.imag) == math.inf else "lambda_small"
-        raise InvalidInputError(f"{what} modulus is past float range") from None
+    b, s = math.hypot(lambda_big.real, lambda_big.imag), math.hypot(lambda_small.real, lambda_small.imag)
     if not 0.0 < b < 1.0:
         raise InvalidInputError("lambda_big modulus must lie strictly inside (0, 1)")
     if s <= 0.0 or above(s, b):

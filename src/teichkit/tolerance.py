@@ -74,8 +74,11 @@ def resolve() -> float:
 
 
 def within(x: complex, scale: float = 1.0) -> bool:
-    """Whether ``|x| <= eps * scale``: x is zero at the given scale."""
-    return abs(x) <= resolve() * scale
+    """Whether ``|x| <= eps * scale``: x is zero at the given scale; a modulus past float range is within no bound."""
+    try:
+        return abs(x) <= resolve() * scale
+    except OverflowError:  # finite parts whose modulus abs() cannot hold
+        return False
 
 
 def inside_unit(z: complex) -> bool:

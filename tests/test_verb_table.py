@@ -66,21 +66,21 @@ HUGE_ELEMENT = f'{{"a":{HUGE_MATRIX},"t":[0,0]}}'
 
 def test_modulus_past_float_range_is_invalid_input():
     for argv in (
-        # each part is finite, but abs() of lambda_small overflows
+        # each part is finite, but the modulus of lambda_small is past float range
         ["hopf", "resonance", "--big", "0.5", "0", "--small", "1.3e308", "1.3e308"],
         # reduction inverts tau, and 1/tau overflows
         ["tori", "reduce", "--tau", "1e-320", "1e-320"],
         # the library refuses an eigenvalue modulus past float range as outside the unit band
         ["teich", "point", "--class", f'{{"class":"diagonal","lambda1":[{HUGE},{HUGE}],"lambda2":[0.25,0]}}'],
         ["teich", "point", "--class", f'{{"class":"resonant","lambda":[{HUGE},{HUGE}],"p":2,"c":[1,0]}}'],
-        # abs() of an entry or a start point overflows in the library,
-        # and only dispatch's OverflowError clause makes these a typed refusal
+        # the library's singularity test refuses a det term whose modulus is past float range
         ["atlas", "ginv", "--x", HUGE_ELEMENT],
         ["atlas", "gmul", "--x", HUGE_ELEMENT, "--y", '{"a":[[[1,0],[0,0]],[[0,0],[1,0]]],"t":[0,0]}'],
         ["alg", "inv", "--matrix", HUGE_MATRIX],
-        ["fol", "orbit", "--z0", HUGE, HUGE, "--alpha", "1/3", "--max-points", "3"],
     ):
         assert_json_error(argv, "invalid_input")
+    # a start point whose modulus is past float range is not on the unit circle
+    assert_json_error(["fol", "orbit", "--z0", HUGE, HUGE, "--alpha", "1/3", "--max-points", "3"], "not_on_circle")
     # a resonant form's lambda past float range lies outside the unit band, as lambda 2 does
     for lam in (f"[{HUGE},{HUGE}]", "[2,0]"):
         assert_json_error(["hopf", "biholo", "--a", f'{{"lambda":{lam},"p":2,"c":[1,0]}}',
