@@ -22,6 +22,7 @@ from .errors import InvalidInputError, NotUnimodularError, SingularMatrixError
 from .tolerance import within
 
 _TWO_PI = 2.0 * math.pi
+_BELOW_TWO_PI = math.nextafter(_TWO_PI, 0.0)  # a + 2*pi rounds up to 2*pi itself for a negative a near 0
 
 
 class Value:
@@ -123,7 +124,7 @@ def ensure_real(x: float, what: str = "value") -> float:
 def arg_unit_interval(z: complex) -> float:
     """Argument of z in [0, 2*pi)."""
     a = math.atan2(z.imag, z.real)  # cmath.phase raises OverflowError where atan2 underflows
-    return a + _TWO_PI if a < 0.0 else a
+    return min(a + _TWO_PI, _BELOW_TWO_PI) if a < 0.0 else a
 
 
 def order_by_modulus(z1: complex, z2: complex) -> tuple[complex, complex]:
@@ -185,7 +186,24 @@ def _scaled_roots(d: complex, t: complex) -> tuple[complex, complex]:
     raise InvalidInputError(f"a root of x**2 - t*x + d is too large to represent, d={d!r}, t={t!r}")
 
 
-class Matrix2C(Value):
+class _Matrix2(Value):
+    """The 2x2 core of Matrix2C and IntMatrix2: the product, which takes the left factor's
+    class, and the identity, each built by that class's constructor, which checks the entries."""
+
+    @classmethod
+    def identity(cls):
+        return cls(1, 0, 0, 1)
+
+    def __matmul__(self, other):
+        return self.__class__(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+
+class Matrix2C(_Matrix2):
     """2x2 complex matrix [[a, b], [c, d]] with finite entries."""
 
     a: complex
@@ -207,10 +225,6 @@ class Matrix2C(Value):
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @staticmethod
-    def identity() -> "Matrix2C":
-        return Matrix2C(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
     def diag(x: complex, y: complex) -> "Matrix2C":
         return Matrix2C(x, 0.0, 0.0, y)
 
@@ -221,14 +235,6 @@ class Matrix2C(Value):
     @property
     def trace(self) -> complex:
         return self.a + self.d
-
-    def __matmul__(self, other: "Matrix2C") -> "Matrix2C":
-        return Matrix2C(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def inverse(self) -> "Matrix2C":
         """The inverse, the one eps-tested inverse of a complex matrix, by _checked_det's det;
@@ -276,7 +282,7 @@ def _ensure_int(v: int, what: str, positive: bool = False) -> int:
     return v
 
 
-class IntMatrix2(Value):
+class IntMatrix2(_Matrix2):
     """2x2 integer matrix [[a, b], [c, d]], exact arithmetic only."""
 
     a: int
@@ -291,23 +297,11 @@ class IntMatrix2(Value):
             a, b, c, d = _ensure_int(a, "a"), _ensure_int(b, "b"), _ensure_int(c, "c"), _ensure_int(d, "d")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
-    @staticmethod
-    def identity() -> "IntMatrix2":
-        return IntMatrix2(1, 0, 0, 1)
-
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
     def trace(self) -> int:
         return self.a + self.d
-
-    def __matmul__(self, other: "IntMatrix2") -> "IntMatrix2":
-        return IntMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def inverse(self) -> "IntMatrix2":
         det = self.det()

@@ -223,15 +223,11 @@ def dec_teich_point(v, what: str = "point") -> teichkit.TeichPoint:
         if len(params) != 2:
             raise SchemaError(f"{what}: base stratum needs [det, trace] params")
         return teichkit.BasePoint(dec_complex(params[0], f"{what} det"), dec_complex(params[1], f"{what} trace"))
-    if stratum == "c":
+    if stratum in ("c", "cp"):
         if len(params) != 1:
-            raise SchemaError(f"{what}: stratum c needs a single [lambda] param")
-        return teichkit.CurvePoint(1, dec_complex(params[0], f"{what} lambda"))
-    if stratum == "cp":
-        if len(params) != 1:
-            raise SchemaError(f"{what}: stratum cp needs a single [lambda] param")
-        p = _int(v.get("p"), f"{what} p")
-        if p < 2:
+            raise SchemaError(f"{what}: stratum {stratum} needs a single [lambda] param")
+        p = 1 if stratum == "c" else _int(v.get("p"), f"{what} p")
+        if p < 2 and stratum == "cp":
             raise SchemaError(f"{what}: stratum cp needs p >= 2, got {p}")
         return teichkit.CurvePoint(p, dec_complex(params[0], f"{what} lambda"))
     raise SchemaError(f"{what}: unknown stratum {stratum!r}")

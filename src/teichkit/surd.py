@@ -68,9 +68,6 @@ class QuadraticIrrational(Value):
         # sqrt(d) is in (s, s + 1), s = isqrt(d), so for q < 0 the floor is that of (p + s + 1) / q
         return (self.p + math.isqrt(self.d) + (self.q < 0)) // self.q
 
-    def __str__(self) -> str:
-        return f"({self.p}+sqrt({self.d}))/{self.q}"
-
 
 def _key(p: int, q: int, d: int) -> tuple[int, int, int, int]:
     """canonical_key of the state (p, q, d), which must satisfy q | d - p**2

@@ -130,7 +130,7 @@ def twin(x: TeichPoint) -> TeichPoint | None:
 
 def points_equal(x: TeichPoint, y: TeichPoint) -> bool:
     if isinstance(x, BasePoint) and isinstance(y, BasePoint):
-        return within(x.det - y.det) and within(x.trace - y.trace)
+        return within(_image_distance(x, y))
     if isinstance(x, CurvePoint) and isinstance(y, CurvePoint):
         return x.order == y.order and within(x.lam - y.lam)
     return False

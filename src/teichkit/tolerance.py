@@ -61,8 +61,7 @@ class _Module(types.ModuleType):
     """This module, callable as :func:`tolerance`: ``teichkit.tolerance`` is the
     module, and ``teichkit.tolerance(eps)`` still opens a block."""
 
-    def __call__(self, eps: float) -> _Block:
-        return _Block(eps)
+    __call__ = staticmethod(tolerance)
 
 
 sys.modules[__name__].__class__ = _Module

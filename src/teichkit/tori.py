@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .algebra import IntMatrix2, Value, ensure_finite, ensure_real
-from .errors import InvalidInputError, MismatchedFiberError, NotUnimodularError
+from .errors import InvalidInputError, LimitExceededError, MismatchedFiberError, NotUnimodularError
 from .tolerance import above, below, within
 
 S = IntMatrix2(0, -1, 1, 0)
@@ -73,7 +73,7 @@ def reduce_fundamental_domain(tau: complex) -> tuple[complex, IntMatrix2]:
         else:
             break
     else:
-        raise RuntimeError("fundamental-domain reduction did not terminate")
+        raise LimitExceededError(f"fundamental-domain reduction did not finish within {_MAX_REDUCE_STEPS} steps")
     # glue boundary representatives to the canonical side
     if within(abs(tau) - 1.0) and above(tau.real, 0.0):
         tau = -1.0 / tau

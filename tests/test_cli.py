@@ -23,6 +23,7 @@ from teichkit import (
     TorusTranslation,
     cli,
     run_fixtures,
+    tori,
 )
 from teichkit.cli import dispatch, main
 from teichkit.foliation import MAX_ORBIT_POINTS
@@ -314,6 +315,12 @@ class TestErrorChannels:
     def test_wrong_arity_is_exit_two(self):
         assert run(["tori", "reduce", "--tau", "1"])[0] == 2
 
+    @pytest.mark.parametrize("values", [["0.5", "0", "2", "1"], ["0.5", "0", "2", "1", "0", "7"]])
+    def test_resonant_arity_is_exit_two(self, values):
+        assert run(["hopf", "classify", "--resonant", *values]) == (
+            2, "", "error: --resonant takes LAMBDA_RE LAMBDA_IM P with optional C_RE C_IM\n"
+        )
+
     def test_mis_shaped_document_is_exit_two(self):
         # parses as JSON but has the wrong shape for a matrix
         code, _, err = run(["hopf", "classify", "--matrix", "[1,2,3]"])
@@ -341,6 +348,11 @@ class TestErrorChannels:
     def test_long_cf_period_is_limit_exceeded(self):
         # the period of sqrt(d) for this prime d is longer than the expansion limit
         self.assert_json_error(["fol", "cf", "--alpha", '{"p":0,"q":1,"d":1000000000000037}'], "limit_exceeded")
+
+    def test_reduction_step_cap_is_limit_exceeded(self, monkeypatch):
+        # 0.1+0.1i takes more than one reduction step
+        monkeypatch.setattr(tori, "_MAX_REDUCE_STEPS", 1)
+        self.assert_json_error(["tori", "reduce", "--tau", "0.1", "0.1"], "limit_exceeded")
 
     def test_orbit_of_huge_slope_is_invalid_input(self):
         # reduced mod 1, sqrt(d) of the first is still past float range, as is q of the second

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from teichkit import (
     IntMatrix2,
     InvalidInputError,
+    LimitExceededError,
     MismatchedFiberError,
     NotUnimodularError,
     S,
@@ -23,6 +24,7 @@ from teichkit import (
     tolerance,
     tori_equivalent,
     translation_compose,
+    tori,
 )
 from oracles import fundamental_domain_point, letter_reduction, random_unimodular, tori_witness_search
 
@@ -180,6 +182,11 @@ class TestReductionWitness:
                 got = reduce_fundamental_domain(tau)
                 assert got == letter_reduction(tau, eps), tau
                 assert got[1].det() == 1
+
+    def test_step_cap_raises_limit_exceeded(self, monkeypatch):
+        monkeypatch.setattr(tori, "_MAX_REDUCE_STEPS", 1)
+        with pytest.raises(LimitExceededError, match="within 1 steps"):
+            reduce_fundamental_domain(0.1 + 0.1j)
 
     def test_builds_one_int_matrix(self, monkeypatch):
         calls = []
